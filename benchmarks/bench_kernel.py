@@ -147,6 +147,59 @@ def test_mailbox_pingpong(benchmark):
           f"{doc['agenda']['handoffs']} handoffs")
 
 
+def test_buffer_pool_backlog(benchmark):
+    """Store-and-forward transit buffers under a standing backlog.
+
+    Every node of a 16-node linear array sends one multi-packet message
+    to every node at least two hops away, all at once.  Large mailbox
+    regions let nearly all of that traffic into the network together,
+    so transit-buffer queues at the inner nodes hold hundreds of
+    packets of many hop classes — the 16L time-sharing cells' hot spot,
+    condensed.  The hop-class index grants in O(classes) per acquire and
+    release.  A single waiter queue rescanned on every call pays
+    O(waiters) instead and runs this scenario about ten times slower, so
+    a regression to it shows as an order-of-magnitude drop (GUIDE §16).
+    """
+    N = 16
+    MESSAGE_BYTES = 32 * 1024
+    MAILBOX_BYTES = 2 * 1024 * 1024
+    CHECKPOINT = 1.0  # simulated seconds: the backlog is standing
+
+    def peers(me):
+        return [p for p in range(N) if abs(p - me) > 1]
+
+    def run():
+        with kernel_profile() as kp:
+            env = Environment()
+            cfg = TransputerConfig(context_switch_overhead=0.0,
+                                   packet_bytes=1024)
+            nodes = {i: TransputerNode(env, i, cfg,
+                                       mailbox_bytes=MAILBOX_BYTES)
+                     for i in range(N)}
+            net = Network(env, nodes, make_topology("linear", range(N)), cfg)
+
+            def receiver(env, me):
+                for _ in peers(me):
+                    yield net.recv(me, tag="bulk")
+
+            for i in range(N):
+                for peer in peers(i):
+                    net.send(i, peer, MESSAGE_BYTES, tag="bulk")
+                env.process(receiver(env, i))
+            env.run(until=CHECKPOINT)
+            depth = max(node.buffers.queue_length for node in nodes.values())
+            env.run()
+        assert sum(len(node.mailbox) for node in nodes.values()) == 0
+        return validate_kernelprof(kp.document()), depth
+
+    doc, depth = benchmark(run)
+    assert depth >= 200
+    assert doc["counters"]["comm.messages"] == sum(
+        len(peers(i)) for i in range(N))
+    print(f"\nbuffer_pool_backlog: {doc['events_per_sec']:,.0f} events/s, "
+          f"{doc['events']} events, deepest transit queue {depth}")
+
+
 def test_system_build_cost(benchmark):
     """Time to assemble 16 nodes + partitions + schedulers."""
 

@@ -486,12 +486,15 @@ class FilterStore(Store):
             for entry in admitted:
                 if not entry[1]:
                     continue
-                waiters = self._kwaiters.get(self._key(entry[0]))
+                k = self._key(entry[0])
+                waiters = self._kwaiters.get(k)
                 get = None
                 while waiters:
                     head = waiters[0]
                     if head._dequeued:
                         waiters.popleft()
+                        if not waiters:
+                            del self._kwaiters[k]
                         continue
                     get = head
                     break
@@ -524,8 +527,12 @@ class FilterStore(Store):
             if best is None:
                 return served
             if best.key is not _NO_KEY:
-                # _oldest_for_key left it at the head of its deque.
-                self._kwaiters[best.key].popleft()
+                # The shedding loop above left it at the head of its
+                # deque; an emptied deque goes, or job-scoped tags leak.
+                waiters = self._kwaiters[best.key]
+                waiters.popleft()
+                if not waiters:
+                    del self._kwaiters[best.key]
             else:
                 self._pwaiters.remove(best)
             item = self._consume(best_entry)
@@ -547,13 +554,14 @@ class FilterStore(Store):
     def _oldest_for_key(self, k):
         """Oldest live entry for key ``k``, shedding dead heads."""
         index = self._by_key.get(k)
-        if not index:
+        if index is None:
             return None
         while index:
             entry = index[0]
             if entry[1]:
                 return entry
             index.popleft()
+        del self._by_key[k]
         return None
 
     def _consume(self, entry):
@@ -564,6 +572,8 @@ class FilterStore(Store):
         index = self._by_key.get(k)
         if index and index[0] is entry:
             index.popleft()
+            if not index:
+                del self._by_key[k]
         if (self._dead >= _COMPACT_MIN_DEAD
                 and self._dead * 2 >= len(self._entries)):
             self._compact()

@@ -204,6 +204,8 @@ class Buffer:
 @dataclass
 class BufferPoolStats:
     grants: int = 0
+    #: Requests that had to queue: no class <= theirs was free when
+    #: they asked.
     blocked: int = 0
     total_wait_time: float = 0.0
 
@@ -213,7 +215,17 @@ class BufferPool:
 
     ``acquire(h)`` grants a buffer of class <= ``h`` (the highest free
     eligible class, preserving low classes for fresh packets).  Waiters
-    are FIFO per arrival among those eligible when a buffer frees.
+    are served oldest-first among those eligible when a buffer frees, so
+    a blocked low-class waiter never blocks a later high-class waiter
+    whose class is free — the whole point of the structured pool.
+
+    Waiters are indexed by hop class, one FIFO each.  A waiter of class
+    ``h`` is eligible exactly when ``h`` is at least the lowest free
+    class, so the oldest eligible waiter is the oldest head among the
+    queues from that class up: a grant compares at most ``num_classes``
+    heads however many packets wait.  Grants only shrink the free set,
+    so granting the oldest eligible waiter until none is left serves
+    exactly the order of one FIFO pass over all waiters (GUIDE §16).
     """
 
     def __init__(self, env, num_classes, buffers_per_class, buffer_bytes,
@@ -230,12 +242,20 @@ class BufferPool:
         self.buffer_bytes = buffer_bytes
         self._free = [buffers_per_class] * num_classes
         self._capacity_per_class = buffers_per_class
-        self._waiters = deque()  # (request, enqueue_time)
+        # One FIFO of (arrival seq, request, enqueue time) per hop class.
+        self._queues = [deque() for _ in range(num_classes)]
+        self._queued = 0
+        self._seq = 0
         self.stats = BufferPoolStats()
 
     @property
     def total_bytes(self):
         return self.num_classes * self._capacity_per_class * self.buffer_bytes
+
+    @property
+    def queue_length(self):
+        """Requests waiting for a buffer, over all hop classes."""
+        return self._queued
 
     def free_count(self, hop_class=None):
         if hop_class is None:
@@ -248,10 +268,20 @@ class BufferPool:
             raise ValueError("hop_class must be >= 0")
         hop_class = min(hop_class, self.num_classes - 1)
         req = BufferRequest(self, hop_class, owner=owner)
-        self._waiters.append((req, self.env.now))
-        if len(self._waiters) > 1 or self._eligible(hop_class) is None:
-            self.stats.blocked += 1
-        self._drain()
+        now = self.env.now
+        # Between calls no queued waiter is eligible: a request queues
+        # only when it is not, and ``release`` drains until none is.  So
+        # when a class <= ``hop_class`` is free this request is the
+        # oldest eligible one and is granted on the spot.
+        free = self._free
+        for cls in range(hop_class, -1, -1):
+            if free[cls]:
+                self._grant(req, cls, now)
+                return req
+        self._seq += 1
+        self._queues[hop_class].append((self._seq, req, now))
+        self._queued += 1
+        self.stats.blocked += 1
         return req
 
     def release(self, buffer):
@@ -259,38 +289,47 @@ class BufferPool:
             raise MemoryError_("double release of message buffer")
         buffer.released = True
         self._free[buffer.cls] += 1
-        self._drain()
-
-    def _eligible(self, hop_class):
-        """Highest free class <= hop_class, or None."""
-        for cls in range(hop_class, -1, -1):
-            if self._free[cls] > 0:
-                return cls
-        return None
+        if self._queued:
+            self._drain()
 
     def _drain(self):
-        # FIFO among waiters, but a blocked low-class waiter must not
-        # block a later high-class waiter whose class is free (that is
-        # the whole point of the structured pool).
-        progressed = True
-        while progressed:
-            progressed = False
-            for i, (req, t0) in enumerate(self._waiters):
-                cls = self._eligible(req.hop_class)
-                if cls is None:
-                    continue
-                del self._waiters[i]
-                self._free[cls] -= 1
-                self.stats.grants += 1
-                wait = self.env.now - t0
-                self.stats.total_wait_time += wait
-                tel = self._tel
-                if tel is not None:
-                    tel.metrics.histogram("buf.wait").observe(wait)
-                    if wait > 0:
-                        tel.slice("buf.wait", f"node{self.node_id}.buffers",
-                                  t0, wait, node=self.node_id, job=req.owner,
-                                  hop_class=req.hop_class)
-                req.succeed(Buffer(self, cls))
-                progressed = True
-                break
+        free = self._free
+        queues = self._queues
+        n = self.num_classes
+        while self._queued:
+            for low in range(n):
+                if free[low]:
+                    break
+            else:
+                return
+            # Oldest head among the classes a free buffer can serve.
+            best = None
+            best_seq = 0
+            for h in range(low, n):
+                queue = queues[h]
+                if queue and (best is None or queue[0][0] < best_seq):
+                    best = queue
+                    best_seq = queue[0][0]
+            if best is None:
+                return
+            _, req, t0 = best.popleft()
+            self._queued -= 1
+            cls = req.hop_class
+            while not free[cls]:  # stops at ``low`` at the latest
+                cls -= 1
+            self._grant(req, cls, t0)
+
+    def _grant(self, req, cls, t0):
+        self._free[cls] -= 1
+        stats = self.stats
+        stats.grants += 1
+        wait = self.env.now - t0
+        stats.total_wait_time += wait
+        tel = self._tel
+        if tel is not None:
+            tel.metrics.histogram("buf.wait").observe(wait)
+            if wait > 0:
+                tel.slice("buf.wait", f"node{self.node_id}.buffers",
+                          t0, wait, node=self.node_id, job=req.owner,
+                          hop_class=req.hop_class)
+        req.succeed(Buffer(self, cls))

@@ -150,6 +150,53 @@ def test_keyed_filter_store_cancel_releases_waiter():
     assert list(s.pending_items()) == ["unicorn"]
 
 
+@pytest.mark.parametrize("get_first", [True, False])
+def test_keyed_filter_store_drops_emptied_key_deques(get_first):
+    """Round trips on distinct keys — job-scoped mailbox tags — leave no
+    per-key waiter or index deque behind, so a long run's store does
+    not grow with the number of keys it has ever seen."""
+    env = Environment()
+    s = FilterStore(env, key=lambda item: item[0])
+    n = 50  # not a multiple of the compaction batch
+    got = []
+
+    def trip(env, k):
+        if get_first:
+            get = s.get(key=k)
+            yield env.timeout(1)
+            yield s.put((k, "payload"))
+            got.append((yield get))
+        else:
+            yield s.put((k, "payload"))
+            yield env.timeout(1)
+            got.append((yield s.get(key=k)))
+
+    for k in range(n):
+        env.process(trip(env, k))
+    env.run()
+    assert sorted(got) == [(k, "payload") for k in range(n)]
+    assert len(s) == 0
+    assert s._kwaiters == {}
+    assert s._by_key == {}
+
+
+def test_keyed_filter_store_drops_key_after_shedding_cancelled_waiter():
+    env = Environment()
+    s = FilterStore(env, key=lambda item: item[0])
+
+    def proc(env):
+        get = s.get(key="tag")
+        s.cancel(get)
+        yield s.put(("tag", 1))   # sheds the cancelled waiter
+        assert s._kwaiters == {}
+        assert (yield s.get(key="tag")) == ("tag", 1)
+
+    env.process(proc(env))
+    env.run()
+    assert s._kwaiters == {}
+    assert s._by_key == {}
+
+
 def test_store_capacity_validation():
     env = Environment()
     with pytest.raises(ValueError):

@@ -1,13 +1,19 @@
 """Tests for the MMU byte allocator and the structured buffer pool."""
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.telemetry import attach
 from repro.sim import Environment
 from repro.transputer.memory import (
     Allocation,
+    Buffer,
     BufferPool,
+    BufferPoolStats,
+    BufferRequest,
     MemoryError_,
     Mmu,
 )
@@ -221,6 +227,25 @@ def test_buffer_blocked_waiter_does_not_block_eligible_one():
 
     env.process(proc(env))
     env.run()
+    # Only ``waiting_fresh`` queued; ``travelled`` was granted on the spot.
+    assert pool.stats.blocked == 1
+
+
+@pytest.mark.parametrize("first", [2, 1])
+def test_buffer_oldest_eligible_waiter_wins_across_classes(first):
+    """A freed class-1 buffer goes to the older of two eligible waiters,
+    whichever hop class it queued under."""
+    env = Environment()
+    pool = BufferPool(env, num_classes=3, buffers_per_class=1, buffer_bytes=64)
+    held = [pool.acquire(2) for _ in range(3)]
+    by_cls = {req.value.cls: req.value for req in held}
+    older = pool.acquire(first)
+    newer = pool.acquire(3 - first)
+    assert pool.queue_length == pool.stats.blocked == 2
+    by_cls[1].release()
+    assert older.triggered and older.value.cls == 1
+    assert not newer.triggered
+    assert pool.queue_length == 1
 
 
 def test_buffer_double_release_rejected():
@@ -295,3 +320,171 @@ def test_property_pool_never_over_grants(num_classes, per_class, hops):
     env.run()
     assert pool.free_count() == total
     assert len(done) == len(hops)
+
+
+class _RescanPool:
+    """Reference structured pool: one waiter FIFO, rescanned from the
+    head after every grant.  The straightforward statement of the
+    semantics ``BufferPool`` must keep — grant the oldest waiter that
+    has some free class <= its own, until none has."""
+
+    def __init__(self, env, num_classes, buffers_per_class):
+        self.env = env
+        self.node_id = 0
+        self._tel = env.telemetry
+        self.num_classes = num_classes
+        self._free = [buffers_per_class] * num_classes
+        self._waiters = deque()  # (request, enqueue_time)
+        self.stats = BufferPoolStats()
+
+    def free_count(self):
+        return sum(self._free)
+
+    def acquire(self, hop_class, owner=None):
+        hop_class = min(hop_class, self.num_classes - 1)
+        req = BufferRequest(self, hop_class, owner=owner)
+        self._waiters.append((req, self.env.now))
+        self._drain()
+        return req
+
+    def release(self, buffer):
+        buffer.released = True
+        self._free[buffer.cls] += 1
+        self._drain()
+
+    def _eligible(self, hop_class):
+        for cls in range(hop_class, -1, -1):
+            if self._free[cls] > 0:
+                return cls
+        return None
+
+    def _drain(self):
+        progressed = True
+        while progressed:
+            progressed = False
+            for i, (req, t0) in enumerate(self._waiters):
+                cls = self._eligible(req.hop_class)
+                if cls is None:
+                    continue
+                del self._waiters[i]
+                self._free[cls] -= 1
+                self.stats.grants += 1
+                wait = self.env.now - t0
+                self.stats.total_wait_time += wait
+                tel = self._tel
+                if tel is not None:
+                    tel.metrics.histogram("buf.wait").observe(wait)
+                    if wait > 0:
+                        tel.slice("buf.wait", f"node{self.node_id}.buffers",
+                                  t0, wait, node=self.node_id, job=req.owner,
+                                  hop_class=req.hop_class)
+                req.succeed(Buffer(self, cls))
+                progressed = True
+                break
+
+
+@st.composite
+def _pool_schedules(draw):
+    """(num_classes, buffers_per_class, steps) for :func:`_play`.
+
+    Each step is a burst of same-time acquires, then releases of held
+    buffers picked by index (so release order is independent of grant
+    order), then a wait of random length (possibly zero).  Hop classes
+    come from a small per-schedule palette, mostly low classes, so
+    bursts overfill a few classes and waiters of several classes queue
+    at once; palette entries reach past the top class to exercise
+    clamping.
+    """
+    num_classes = draw(st.integers(min_value=1, max_value=16))
+    per_class = draw(st.integers(min_value=1, max_value=3))
+    palette = draw(st.lists(
+        st.integers(min_value=0, max_value=3)
+        | st.integers(min_value=0, max_value=num_classes + 3),
+        min_size=1, max_size=3))
+    step = st.tuples(
+        st.lists(st.sampled_from(palette), max_size=8),
+        st.lists(st.integers(min_value=0, max_value=63), max_size=4),
+        st.sampled_from([0, 0.5, 1, 2.25, 3]),
+    )
+    steps = draw(st.lists(step, min_size=1, max_size=12))
+    return num_classes, per_class, steps
+
+
+def _play(make_pool, steps, telemetry):
+    """Drive ``steps`` against a fresh pool; every held buffer is
+    released at the end so queued requests drain.  Returns the grant
+    sequence ``(request index, class, grant time)`` in ``succeed`` order
+    (the agenda processes same-time events FIFO), the pool, and the
+    telemetry (or None)."""
+    env = Environment()
+    tel = attach(env) if telemetry else None
+    pool = make_pool(env)
+    grants = []
+    held = []
+
+    def on_grant(index):
+        def record(event):
+            grants.append((index, event.value.cls, env.now))
+            held.append(event.value)
+        return record
+
+    def scenario(env):
+        issued = 0
+        for hops, releases, dt in steps:
+            for h in hops:
+                pool.acquire(h, owner=issued).callbacks.append(
+                    on_grant(issued))
+                issued += 1
+            for k in releases:
+                if held:
+                    held.pop(k % len(held)).release()
+            yield env.timeout(dt)
+        while len(grants) < issued:
+            yield env.timeout(0)
+            while held:
+                held.pop().release()
+            yield env.timeout(1)
+        while held:
+            held.pop().release()
+
+    env.process(scenario(env))
+    env.run()
+    return grants, pool, tel
+
+
+@given(_pool_schedules())
+@settings(max_examples=200, deadline=None)
+def test_property_indexed_pool_matches_rescan(schedule):
+    """The per-class index grants exactly what the single-deque rescan
+    grants: same requests, classes and times in the same order, same
+    stats, and — with telemetry on — the same ``buf.wait`` slices and
+    histogram."""
+    num_classes, per_class, steps = schedule
+
+    def indexed(env):
+        return BufferPool(env, num_classes=num_classes,
+                          buffers_per_class=per_class, buffer_bytes=16,
+                          node_id=0)
+
+    def rescan(env):
+        return _RescanPool(env, num_classes, per_class)
+
+    got, pool, tel = _play(indexed, steps, telemetry=True)
+    want, ref, ref_tel = _play(rescan, steps, telemetry=True)
+    assert got == want
+    assert pool.stats.grants == ref.stats.grants == len(want)
+    assert pool.stats.total_wait_time == ref.stats.total_wait_time
+    assert pool.free_count() == ref.free_count() == num_classes * per_class
+    assert pool.queue_length == 0
+
+    def slices(t):
+        return [(e.time, e.subject, e.detail)
+                for e in t.recorder.by_category("buf.wait")]
+
+    assert slices(tel) == slices(ref_tel)
+    hist, ref_hist = (t.metrics.histogram("buf.wait") for t in (tel, ref_tel))
+    assert hist.counts == ref_hist.counts
+    assert hist.total == ref_hist.total
+    # Telemetry observes only: the untraced run grants identically.
+    assert _play(indexed, steps, telemetry=False)[0] == got
+
