@@ -11,7 +11,7 @@ from repro.core import MulticomputerSystem, SystemConfig, TimeSharing
 from repro.obs.kernelprof import kernel_profile, validate_kernelprof
 from repro.sim import Environment, FilterStore
 from repro.topology import make_topology
-from repro.transputer import TransputerConfig, TransputerNode
+from repro.transputer import HIGH, LOW, Cpu, TransputerConfig, TransputerNode
 from repro.workload import standard_batch
 
 
@@ -198,6 +198,55 @@ def test_buffer_pool_backlog(benchmark):
         len(peers(i)) for i in range(N))
     print(f"\nbuffer_pool_backlog: {doc['events_per_sec']:,.0f} events/s, "
           f"{doc['events']} events, deepest transit queue {depth}")
+
+
+def test_cpu_round_robin(benchmark):
+    """Round-robin time slicing: the CPU dispatch path.
+
+    Each of 16 CPUs holds 16 long low-priority bursts at the default
+    25 us context switch and 2 ms quantum, so every quantum costs two
+    agenda events (switch, slice) and two continuations of the CPU's
+    dispatch machine.  Every 10 ms a 100 us high-priority burst arrives
+    on each CPU and preempts the running slice, so the interrupt path
+    (abandoned slice timer, credited partial slice) runs too.  The event
+    count is fixed by the model; a change to it is a behaviour change,
+    not a speed change (GUIDE §16).
+    """
+    CPUS = 16
+    BURSTS = 16
+    LOW_WORK = 0.1
+    HIGH_PERIOD = 0.01
+    HIGH_WORK = 1e-4
+    HIGH_BURSTS = 150
+    EVENTS = 38_928
+
+    def run():
+        with kernel_profile() as kp:
+            env = Environment()
+            cfg = TransputerConfig()
+            cpus = [Cpu(env, cfg, node_id=i) for i in range(CPUS)]
+            for cpu in cpus:
+                for tag in range(BURSTS):
+                    cpu.execute(LOW_WORK, LOW, tag=tag)
+
+            def high_source(env, cpu):
+                for _ in range(HIGH_BURSTS):
+                    yield env.timeout(HIGH_PERIOD)
+                    cpu.execute(HIGH_WORK, HIGH)
+
+            for cpu in cpus:
+                env.process(high_source(env, cpu))
+            env.run()
+        return validate_kernelprof(kp.document()), cpus
+
+    doc, cpus = benchmark(run)
+    assert doc["events"] == EVENTS
+    for cpu in cpus:
+        assert cpu.stats.completed == BURSTS + HIGH_BURSTS
+        assert cpu.stats.preemptions > 0
+    print(f"\ncpu_round_robin: {doc['events_per_sec']:,.0f} events/s, "
+          f"{sum(c.stats.dispatches for c in cpus)} dispatches, "
+          f"{sum(c.stats.preemptions for c in cpus)} preemptions")
 
 
 def test_system_build_cost(benchmark):

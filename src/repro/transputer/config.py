@@ -19,6 +19,7 @@ Everything is a plain dataclass field, so experiments can sweep any knob.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 MB = 1 << 20
 KB = 1 << 10
@@ -128,10 +129,22 @@ class TransputerConfig:
 
     def validate(self):
         """Raise ValueError on nonsensical parameter combinations."""
-        if self.cpu_ops_per_second <= 0:
-            raise ValueError("cpu_ops_per_second must be positive")
-        if self.quantum <= 0:
-            raise ValueError("quantum must be positive")
+        # The processor checks are written so that NaN fails them too:
+        # a NaN time would otherwise surface deep inside the event loop
+        # (or, for the overhead, silently act as zero).
+        if not self.cpu_ops_per_second > 0:
+            raise ValueError(f"cpu_ops_per_second must be positive, "
+                             f"got {self.cpu_ops_per_second}")
+        if not 0 < self.quantum < inf:
+            raise ValueError(f"quantum must be finite and positive, "
+                             f"got {self.quantum}")
+        if not 0 < self.scheduler_quantum < inf:
+            raise ValueError(f"scheduler_quantum must be finite and "
+                             f"positive, got {self.scheduler_quantum}")
+        overhead = self.context_switch_overhead
+        if not 0 <= overhead < inf:
+            raise ValueError(f"context_switch_overhead must be finite and "
+                             f"non-negative, got {overhead}")
         if self.memory_bytes <= 0:
             raise ValueError("memory_bytes must be positive")
         if not 0 <= self.buffer_pool_bytes <= self.memory_bytes:
@@ -146,6 +159,6 @@ class TransputerConfig:
             raise ValueError("packet_bytes must be positive")
         if self.buffers_per_class < 1:
             raise ValueError("buffers_per_class must be >= 1")
-        if self.context_switch_overhead < 0 or self.link_startup < 0:
-            raise ValueError("overheads must be non-negative")
+        if self.link_startup < 0:
+            raise ValueError("link_startup must be non-negative")
         return self

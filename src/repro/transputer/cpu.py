@@ -31,38 +31,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from math import inf
 
-from repro.sim import Event, Interrupt
+from repro.sim import NORMAL, Event
 
 #: Priority levels (match the two hardware ready queues).
 HIGH = 0
 LOW = 1
 
 _EPS = 1e-12
-
-#: Process-global dispatch-engine selector, captured per-CPU at
-#: construction (the same pattern as the kernel's pooling toggle): the
-#: default "callback" engine drives dispatch as a callback state
-#: machine; "generator" keeps the original generator process.  Both
-#: produce byte-identical trajectories — the equivalence suite runs the
-#: same model under each and compares run documents — but the callback
-#: engine skips a generator suspension/resume per slice boundary, which
-#: is the kernel's hottest callback site.
-_ENGINE = "callback"
-
-
-def set_cpu_engine(engine):
-    """Select the dispatch engine for CPUs constructed afterwards.
-
-    Returns the previous setting so callers can restore it.
-    """
-    global _ENGINE
-    if engine not in ("callback", "generator"):
-        raise ValueError(f"engine must be 'callback' or 'generator', "
-                         f"got {engine!r}")
-    previous = _ENGINE
-    _ENGINE = engine
-    return previous
 
 
 class WorkRequest(Event):
@@ -73,7 +50,8 @@ class WorkRequest(Event):
                  "ready_kind")
 
     def __init__(self, cpu, work_seconds, priority, quantum, tag, proc=None):
-        super().__init__(cpu.env)
+        env = cpu.env
+        super().__init__(env)
         self.priority = priority
         self.remaining = float(work_seconds)
         self.quantum = quantum
@@ -81,7 +59,7 @@ class WorkRequest(Event):
         self.tag = tag
         #: Process index within the owning job (profiler attribution).
         self.proc = proc
-        self.submitted_at = cpu.env.now
+        self.submitted_at = env._now
         self.started_at = None
         #: CPU time actually consumed so far.
         self.cpu_time = 0.0
@@ -91,7 +69,7 @@ class WorkRequest(Event):
         #: ("enqueue" = fresh submission, "requeue" = lost the CPU with
         #: work remaining).  The dispatcher turns the interval up to the
         #: next grant into a ``cpu.wait`` trace event.
-        self.ready_since = cpu.env.now
+        self.ready_since = env._now
         self.ready_kind = "enqueue"
 
     def __repr__(self):
@@ -118,53 +96,73 @@ class CpuStats:
         return (self.busy_time + self.overhead_time) / elapsed
 
 
+class _SliceTimer(Event):
+    """A CPU's private timer, re-armed with :meth:`Environment.schedule`.
+
+    Deliberately not a :class:`~repro.sim.events.Timeout`: the event
+    loop pools only exact Timeouts, and a timer abandoned by an
+    interrupt must be freed once its stale agenda entry pops, not join
+    a free list that its CPU never draws from.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, env):
+        super().__init__(env)
+        self._ok = True
+        self._value = None
+
+
 class Cpu:
-    """Two-priority processor with round-robin low-priority sharing."""
+    """Two-priority processor with round-robin low-priority sharing.
+
+    Dispatch is a callback state machine around one private
+    :class:`_SliceTimer`, armed for at most one thing at a time: the
+    idle wakeup, the context-switch overhead, or the slice.  Arming
+    goes through :meth:`Environment.schedule`, so each agenda entry
+    gets the time and sequence number a freshly created Timeout (or a
+    succeeded wakeup Event) would get at that point; reusing the timer
+    is invisible to the trajectory.
+    """
 
     def __init__(self, env, config, node_id=None):
+        overhead = config.context_switch_overhead
+        if not 0 <= overhead < inf:
+            raise ValueError(f"context_switch_overhead must be finite "
+                             f"and >= 0, got {overhead}")
         self.env = env
         self.config = config
         self.node_id = node_id
-        # Fast-path bindings (observability is attached to the
-        # environment before the system's components are constructed;
-        # see ``system.build``): with telemetry off, the dispatch loop
-        # then skips the observer calls entirely instead of paying a
-        # call + attribute chain per dispatch to find that out.
+        # Observability is attached to the environment before the
+        # system's components are constructed (see ``system.build``), so
+        # with telemetry and the ledger off the dispatch path skips the
+        # observer calls behind one flag test per slice end.
         self._tel = env.telemetry
         self._led = env.decisions
-        self._overhead = config.context_switch_overhead
+        self._observed = self._tel is not None or self._led is not None
+        self._overhead = overhead
         self.stats = CpuStats()
         self._high = deque()
         self._low = deque()
         self._paused = {}            # tag -> deque of parked LOW requests
-        self._wakeup = None          # pending idle-wait event
+        self._idle = False           # waiting for an arrival to wake it
+        self._cur = None             # request paying context-switch cost
         self._running = None         # request currently holding the CPU
         self._slice_interruptible = False
         self._interrupt_requested = False
-        if _ENGINE == "generator":
-            self._proc = env.process(self._dispatch_loop(),
-                                     name=f"cpu{node_id}")
-        else:
-            self._proc = None
-            # Callback state machine.  The bound continuations are
-            # cached once: they are parked on (and removed from) events
-            # every slice, and a fresh bound method per park would cost
-            # an allocation in the hottest model path.  ``_timer`` holds
-            # the pending overhead/slice Timeout; the continuations
-            # clear it before returning so the event loop's sole-owner
-            # probe lets the timeout recycle through the free list —
-            # one pooled timer serves every slice of this CPU.
-            self._cur = None         # request paying context-switch cost
-            self._cur_prio = LOW
-            self._timer = None       # pending overhead/slice Timeout
-            self._slice_start = 0.0
-            self._slice_len = 0.0
-            self._wakeup_cb = self._cb_wakeup
-            self._overhead_cb = self._cb_overhead
-            self._high_end_cb = self._cb_high_end
-            self._low_end_cb = self._cb_low_end
-            self._interrupt_cb = self._cb_interrupt
-            env.kick(self._cb_boot)
+        self._slice_start = 0.0
+        self._slice_len = 0.0
+        self._schedule = env.schedule
+        self._timer = _SliceTimer(env)
+        # One callback list per continuation, built once: the event loop
+        # only reads a popped event's list, and nothing but this CPU
+        # touches its timer, so arming never allocates.
+        self._wakeup_cbs = [self._dispatch_next]
+        self._overhead_cbs = [self._cb_overhead]
+        self._high_end_cbs = [self._cb_high_end]
+        self._low_end_cbs = [self._cb_low_end]
+        self._interrupt_cb = self._cb_interrupt
+        env.kick(self._dispatch_next)
 
     # -- public API -----------------------------------------------------
     def execute(self, work_seconds, priority=LOW, quantum=None, tag=None,
@@ -187,18 +185,23 @@ class Cpu:
             Process index within the owning job (telemetry attribution
             only; never affects scheduling).
         """
-        if work_seconds < 0:
-            raise ValueError(f"work_seconds must be >= 0, got {work_seconds}")
+        # Written so that NaN fails every check: the timer is re-armed
+        # without the validation ``env.timeout`` performs.
+        if not 0 <= work_seconds < inf:
+            raise ValueError(f"work_seconds must be finite and >= 0, "
+                             f"got {work_seconds}")
         if priority not in (HIGH, LOW):
             raise ValueError(f"priority must be HIGH or LOW, got {priority}")
-        req = WorkRequest(self, work_seconds, priority,
-                          quantum if quantum is not None else self.config.quantum,
-                          tag, proc=proc)
-        if req.quantum <= 0:
-            raise ValueError("quantum must be positive")
+        if quantum is None:
+            quantum = self.config.quantum
+        if not 0 < quantum < inf:
+            raise ValueError(f"quantum must be finite and positive, "
+                             f"got {quantum}")
+        req = WorkRequest(self, work_seconds, priority, quantum, tag,
+                          proc=proc)
         if work_seconds <= _EPS:
             # Zero-length bursts complete immediately without dispatching.
-            req.started_at = self.env.now
+            req.started_at = self.env._now
             req.succeed(req)
             return req
         if priority == HIGH:
@@ -226,12 +229,10 @@ class Cpu:
             req = self._low.popleft()
             (parked if req.tag == tag else kept).append(req)
         self._low = kept
-        running = self._running
-        if (running is not None and running.tag == tag
-                and running.priority == LOW and self._slice_interruptible
-                and not self._interrupt_requested):
+        if (self._slice_interruptible and not self._interrupt_requested
+                and self._running.tag == tag):
             self._interrupt_requested = True
-            self._request_interrupt("paused")
+            self.env.kick(self._interrupt_cb)
 
     def resume_tag(self, tag):
         """Release work parked under ``tag`` back into the ready queue."""
@@ -254,107 +255,89 @@ class Cpu:
         """The request currently holding the CPU, if any."""
         return self._running
 
-    # -- internals ----------------------------------------------------------
+    # -- dispatch engine ----------------------------------------------------
+    # Completion events are handed off (dispatched synchronously, skipping
+    # the agenda) when the environment's ordering guards permit:
+    # completing the slice is the machine's tail action, and the next
+    # slice's timer is always strictly in the future, so the handoff is
+    # order-equivalent to scheduling the completion and popping it next.
+
     def _notify_arrival(self, priority):
-        if self._wakeup is not None and not self._wakeup.triggered:
-            self._wakeup.succeed()
-            return
-        if self._interrupt_requested or not self._slice_interruptible:
-            return
-        running = self._running
-        if running is None:
+        if self._idle:
+            self._idle = False
+            timer = self._timer
+            timer.callbacks = self._wakeup_cbs
+            self._schedule(timer, NORMAL, 0.0)
             return
         # A high arrival preempts a running low slice immediately; a low
         # arrival only matters if the current slice was extended past its
-        # quantum under the single-runnable optimisation.
-        extended = self._slice_interruptible == "extended"
-        if priority == HIGH or extended:
+        # quantum under the single-runnable optimisation.  No slice is
+        # interruptible during the context-switch overhead.
+        interruptible = self._slice_interruptible
+        if (interruptible and not self._interrupt_requested
+                and (priority == HIGH or interruptible == "extended")):
             self._interrupt_requested = True
-            self._request_interrupt("arrival")
-
-    def _request_interrupt(self, cause):
-        """Deliver a slice interrupt through the active engine.
-
-        Both paths schedule exactly one URGENT agenda entry at the
-        current time from the shared sequence counter, so the engines
-        stay trajectory-identical: the generator receives a thrown
-        :class:`Interrupt`, the state machine a kicked continuation.
-        """
-        if self._proc is not None:
-            self._proc.interrupt(cause)
-        else:
             self.env.kick(self._interrupt_cb)
 
-    # -- callback dispatch engine -------------------------------------------
-    # Each continuation mirrors one of the generator loop's yield points
-    # exactly — same events created at the same execution points, same
-    # telemetry and accounting order — so the two engines produce
-    # byte-identical trajectories.  Completion events are handed off
-    # (dispatched synchronously, skipping the agenda) when the
-    # environment's ordering guards permit: completing the slice is the
-    # machine's tail action, and the next slice's timer is always
-    # strictly in the future, so the handoff is order-equivalent to
-    # scheduling the completion and popping it next.
+    def _dispatch_next(self, _event=None):
+        """Grant the CPU to the next ready request, or go idle.
 
-    def _cb_boot(self, _event):
-        self._dispatch_next()
-
-    def _dispatch_next(self):
-        if not self._high and not self._low:
-            wakeup = Event(self.env)
-            wakeup.callbacks.append(self._wakeup_cb)
-            self._wakeup = wakeup
-            return
+        Also the boot and wakeup continuation.
+        """
         if self._high:
             req = self._high.popleft()
-            prio = HIGH
-        else:
+        elif self._low:
             req = self._low.popleft()
-            prio = LOW
-        cost = self._overhead
-        if cost > 0:
-            self._cur = req
-            self._cur_prio = prio
-            timer = self.env.timeout(cost)
-            timer.callbacks.append(self._overhead_cb)
-            self._timer = timer
-            return
-        if prio == HIGH:
-            self._begin_high(req)
         else:
-            self._begin_low(req)
+            self._idle = True
+            return
+        self._cur = req
+        if self._overhead > 0:
+            timer = self._timer
+            timer.callbacks = self._overhead_cbs
+            self._schedule(timer, NORMAL, self._overhead)
+        else:
+            self._cb_overhead()
 
-    def _cb_wakeup(self, _event):
-        self._wakeup = None
-        self._dispatch_next()
-
-    def _cb_overhead(self, _event):
-        self._timer = None
-        self.stats.overhead_time += self._overhead
+    def _cb_overhead(self, _event=None):
+        """Overhead-end continuation: charge the switch, start the slice."""
         req = self._cur
         self._cur = None
-        if self._cur_prio == HIGH:
-            self._begin_high(req)
-        else:
-            self._begin_low(req)
-
-    def _begin_high(self, req):
-        env = self.env
+        now = self.env._now
+        stats = self.stats
+        stats.overhead_time += self._overhead
         self._running = req
-        if req.started_at is None:
-            req.started_at = env.now
-            if self._tel is not None:
-                self._observe_dispatch(req)
+        first = req.started_at is None
+        if first:
+            req.started_at = now
+        timer = self._timer
+        if req.priority == HIGH:
+            slice_len = req.remaining
+            timer.callbacks = self._high_end_cbs
+        else:
+            if self._high or self._low:
+                # min(quantum, remaining), without the builtin call.
+                quantum = req.quantum
+                slice_len = req.remaining
+                if not slice_len < quantum:
+                    slice_len = quantum
+                self._slice_interruptible = "quantum"
+            else:
+                # Single-runnable optimisation: run the whole remaining
+                # burst; any arrival interrupts us and the elapsed time
+                # is credited (see _notify_arrival).
+                slice_len = req.remaining
+                self._slice_interruptible = "extended"
+            timer.callbacks = self._low_end_cbs
+        if self._observed:
+            self._observe_grant(req, first)
         req.slices += 1
-        self.stats.dispatches += 1
-        self._slice_start = env.now
-        self._slice_len = req.remaining
-        timer = env.timeout(req.remaining)
-        timer.callbacks.append(self._high_end_cb)
-        self._timer = timer
+        stats.dispatches += 1
+        self._slice_start = now
+        self._slice_len = slice_len
+        self._schedule(timer, NORMAL, slice_len)
 
     def _cb_high_end(self, _event):
-        self._timer = None
         req = self._running
         burst = self._slice_len
         req.remaining = 0.0
@@ -369,67 +352,81 @@ class Cpu:
         self._dispatch_next()
         self.env.handoff(req, req)
 
-    def _begin_low(self, req):
-        env = self.env
-        self._running = req
-        if self._tel is not None:
-            self._observe_wait(req)
-        if req.started_at is None:
-            req.started_at = env.now
-            if self._tel is not None:
-                self._observe_dispatch(req)
-        req.slices += 1
-        self.stats.dispatches += 1
-        if self._high or self._low:
-            slice_len = min(req.quantum, req.remaining)
-            self._slice_interruptible = "quantum"
-        else:
-            # Single-runnable optimisation: run the whole remaining
-            # burst; any arrival interrupts us and the elapsed time is
-            # credited (see _notify_arrival).
-            slice_len = req.remaining
-            self._slice_interruptible = "extended"
-        led = self._led
-        if led is not None:
-            # Counter tier only: a ring record per slice would blow the
-            # ledger's overhead ceiling on slice-dominated runs.
-            led.tally("cpu", "arm", self._slice_interruptible)
-        self._slice_start = env.now
-        self._slice_len = slice_len
-        timer = env.timeout(slice_len)
-        timer.callbacks.append(self._low_end_cb)
-        self._timer = timer
-
-    def _cb_low_end(self, _event):
-        self._timer = None
-        self._finish_low(self._slice_len, False)
-
     def _cb_interrupt(self, _event):
-        # The machine's counterpart of Process._resume_interrupt plus
-        # the generator's except-Interrupt branch: detach from the
-        # pending slice timer (its stale agenda entry then pops with
-        # none of our callbacks and recycles) and credit elapsed time.
-        timer = self._timer
-        self._timer = None
-        if timer is not None and timer.callbacks is not None:
-            try:
-                timer.callbacks.remove(self._low_end_cb)
-            except ValueError:
-                pass
+        # The pending slice timer's agenda entry stays queued; emptied,
+        # it pops as a no-op.  The CPU arms a fresh timer from now on,
+        # so the stale entry can never run a later continuation.
+        self._timer.callbacks = []
+        self._timer = _SliceTimer(self.env)
         self._interrupt_requested = False
         self.stats.preemptions += 1
-        self._finish_low(self.env.now - self._slice_start, True)
+        self._cb_low_end(None, True)
 
-    def _finish_low(self, elapsed, preempted):
+    def _cb_low_end(self, _event, preempted=False):
+        """Slice-end continuation: credit the slice, requeue, dispatch."""
         env = self.env
+        now = env._now
         req = self._running
-        self._slice_interruptible = False
         self._running = None
-        req.remaining -= elapsed
+        self._slice_interruptible = False
+        elapsed = now - self._slice_start if preempted else self._slice_len
+        remaining = req.remaining = req.remaining - elapsed
         req.cpu_time += elapsed
         stats = self.stats
         stats.busy_time += elapsed
         stats.low_time += elapsed
+        if self._observed:
+            self._observe_low_end(req, elapsed, preempted)
+        if remaining <= _EPS:
+            req.remaining = 0.0
+            stats.completed += 1
+            self._dispatch_next()
+            env.handoff(req, req)
+            return
+        req.ready_since = now
+        req.ready_kind = "requeue"
+        # Unfinished work whose tag was paused mid-slice parks instead
+        # of re-queueing (gang scheduling descheduled its job).
+        # Otherwise: back of the round-robin queue (the Transputer drops
+        # the rest of a preempted process's quantum), or the front if the
+        # config asks for resume-in-place semantics.
+        if req.tag in self._paused:
+            self._paused[req.tag].append(req)
+            self._dispatch_next()
+            return
+        if preempted and not self.config.requeue_at_back:
+            self._low.appendleft(req)
+        else:
+            self._low.append(req)
+        # The next dispatch, inlined from _dispatch_next for the
+        # per-quantum path: the low queue now holds at least ``req``.
+        self._cur = self._high.popleft() if self._high else self._low.popleft()
+        if self._overhead > 0:
+            timer = self._timer
+            timer.callbacks = self._overhead_cbs
+            self._schedule(timer, NORMAL, self._overhead)
+        else:
+            self._cb_overhead()
+
+    # -- telemetry ----------------------------------------------------------
+    def _observe_grant(self, req, first):
+        """A slice start: its ready-queue wait, first-dispatch latency and
+        the ledger's quantum-arming tally."""
+        tel = self._tel
+        low = req.priority == LOW
+        if tel is not None:
+            if low:
+                self._observe_wait(req)
+            if first:
+                tel.metrics.histogram("cpu.dispatch_latency").observe(
+                    self.env._now - req.submitted_at)
+        if low and self._led is not None:
+            # Counter tier only: a ring record per slice would blow the
+            # ledger's overhead ceiling on slice-dominated runs.
+            self._led.tally("cpu", "arm", self._slice_interruptible)
+
+    def _observe_low_end(self, req, elapsed, preempted):
+        """A low slice's end: its outcome tally, span and preemption."""
         led = self._led
         if led is not None:
             led.tally("cpu", "slice",
@@ -437,66 +434,23 @@ class Cpu:
                       else "block_yield" if req.remaining <= _EPS
                       else "quantum_expiry")
         tel = self._tel
-        if elapsed > 0 and tel is not None:
-            self._observe_slice(req, self._slice_start, elapsed, "low")
-        if preempted and tel is not None:
-            node = self.node_id if self.node_id is not None else -1
-            tel.metrics.counter("cpu.preemptions").inc()
-            tel.event("cpu.preempt", f"node{node}.cpu", node=node,
-                      tag=req.tag)
-        if req.remaining <= _EPS:
-            req.remaining = 0.0
-            stats.completed += 1
-            self._dispatch_next()
-            env.handoff(req, req)
-            return
-        req.ready_since = env.now
-        req.ready_kind = "requeue"
-        # Unfinished work whose tag was paused mid-slice parks instead
-        # of re-queueing (gang scheduling descheduled its job).
-        if req.tag in self._paused:
-            self._paused[req.tag].append(req)
-        elif self.config.requeue_at_back or not preempted:
-            self._low.append(req)
-        else:
-            self._low.appendleft(req)
-        self._dispatch_next()
-
-    # -- generator dispatch engine ------------------------------------------
-    def _dispatch_loop(self):
-        env = self.env
-        cfg = self.config
-        while True:
-            if not self._high and not self._low:
-                self._wakeup = Event(env)
-                yield self._wakeup
-                self._wakeup = None
-
-            if self._high:
-                req = self._high.popleft()
-                yield from self._run_high(req)
-            else:
-                req = self._low.popleft()
-                yield from self._run_low(req)
-
-    # -- telemetry ----------------------------------------------------------
-    def _observe_dispatch(self, req):
-        """First-dispatch latency (submission to first CPU grant)."""
-        tel = self._tel
         if tel is not None:
-            tel.metrics.histogram("cpu.dispatch_latency").observe(
-                self.env.now - req.submitted_at
-            )
+            if elapsed > 0:
+                self._observe_slice(req, self._slice_start, elapsed, "low")
+            if preempted:
+                node = self.node_id if self.node_id is not None else -1
+                tel.metrics.counter("cpu.preemptions").inc()
+                tel.event("cpu.preempt", f"node{node}.cpu", node=node,
+                          tag=req.tag)
 
     def _observe_slice(self, req, start, elapsed, prio):
         """One executed slice as a span on this node's CPU track."""
         tel = self._tel
-        if tel is not None:
-            node = self.node_id if self.node_id is not None else -1
-            tel.slice("cpu.slice", f"node{node}.cpu", start, elapsed,
-                      node=node, prio=prio, tag=req.tag, proc=req.proc)
-            if prio == "low":
-                tel.metrics.histogram("cpu.quantum_slice").observe(elapsed)
+        node = self.node_id if self.node_id is not None else -1
+        tel.slice("cpu.slice", f"node{node}.cpu", start, elapsed,
+                  node=node, prio=prio, tag=req.tag, proc=req.proc)
+        if prio == "low":
+            tel.metrics.histogram("cpu.quantum_slice").observe(elapsed)
 
     def _observe_wait(self, req):
         """The ready-queue interval that ended with this dispatch.
@@ -507,120 +461,9 @@ class Cpu:
         after losing it with work remaining ("requeue" — quantum expiry,
         preemption, or a gang park).
         """
-        tel = self._tel
-        if tel is not None:
-            wait = self.env.now - req.ready_since
-            if wait > 0:
-                node = self.node_id if self.node_id is not None else -1
-                tel.slice("cpu.wait", f"node{node}.cpu", req.ready_since,
-                          wait, node=node, tag=req.tag, proc=req.proc,
-                          kind=req.ready_kind)
-
-    def _run_high(self, req):
-        env = self.env
-        cost = self._overhead
-        if cost > 0:
-            yield env.timeout(cost)
-            self.stats.overhead_time += cost
-        self._running = req
-        if req.started_at is None:
-            req.started_at = env.now
-            if self._tel is not None:
-                self._observe_dispatch(req)
-        req.slices += 1
-        self.stats.dispatches += 1
-        burst = req.remaining
-        start = env.now
-        yield env.timeout(burst)
-        req.remaining = 0.0
-        req.cpu_time += burst
-        self.stats.busy_time += burst
-        self.stats.high_time += burst
-        self.stats.completed += 1
-        self._running = None
-        if self._tel is not None:
-            self._observe_slice(req, start, burst, "high")
-        req.succeed(req)
-
-    def _run_low(self, req):
-        env = self.env
-        cost = self._overhead
-        if cost > 0:
-            yield env.timeout(cost)
-            self.stats.overhead_time += cost
-        self._running = req
-        if self._tel is not None:
-            self._observe_wait(req)
-        if req.started_at is None:
-            req.started_at = env.now
-            if self._tel is not None:
-                self._observe_dispatch(req)
-        req.slices += 1
-        self.stats.dispatches += 1
-
-        contended = bool(self._high) or bool(self._low)
-        if contended:
-            slice_len = min(req.quantum, req.remaining)
-            self._slice_interruptible = "quantum"
-        else:
-            # Single-runnable optimisation: run the whole remaining burst;
-            # any arrival interrupts us and we credit the elapsed time.
-            slice_len = req.remaining
-            self._slice_interruptible = "extended"
-        led = self._led
-        if led is not None:
-            led.tally("cpu", "arm", self._slice_interruptible)
-
-        start = env.now
-        preempted = False
-        try:
-            yield env.timeout(slice_len)
-            elapsed = slice_len
-        except Interrupt:
-            elapsed = env.now - start
-            preempted = True
-            self._interrupt_requested = False
-            self.stats.preemptions += 1
-        finally:
-            self._slice_interruptible = False
-            self._running = None
-
-        req.remaining -= elapsed
-        req.cpu_time += elapsed
-        self.stats.busy_time += elapsed
-        self.stats.low_time += elapsed
-        led = self._led
-        if led is not None:
-            led.tally("cpu", "slice",
-                      "preempted" if preempted
-                      else "block_yield" if req.remaining <= _EPS
-                      else "quantum_expiry")
-        if elapsed > 0 and self._tel is not None:
-            self._observe_slice(req, start, elapsed, "low")
-        if preempted:
-            tel = self._tel
-            if tel is not None:
-                node = self.node_id if self.node_id is not None else -1
-                tel.metrics.counter("cpu.preemptions").inc()
-                tel.event("cpu.preempt", f"node{node}.cpu", node=node,
-                          tag=req.tag)
-
-        if req.remaining <= _EPS:
-            req.remaining = 0.0
-            self.stats.completed += 1
-            req.succeed(req)
-            return
-        req.ready_since = env.now
-        req.ready_kind = "requeue"
-        # Unfinished work whose tag was paused mid-slice parks instead of
-        # re-queueing (gang scheduling descheduled its job).
-        if req.tag in self._paused:
-            self._paused[req.tag].append(req)
-            return
-        # Otherwise: back of the round-robin queue (the Transputer drops
-        # the rest of a preempted process's quantum), or the front if the
-        # config asks for resume-in-place semantics.
-        if self.config.requeue_at_back or not preempted:
-            self._low.append(req)
-        else:
-            self._low.appendleft(req)
+        wait = self.env._now - req.ready_since
+        if wait > 0:
+            node = self.node_id if self.node_id is not None else -1
+            self._tel.slice("cpu.wait", f"node{node}.cpu", req.ready_since,
+                            wait, node=node, tag=req.tag, proc=req.proc,
+                            kind=req.ready_kind)

@@ -1,27 +1,23 @@
 """Equivalence properties of the model-layer fast path (GUIDE §16).
 
-Three families of guarantees the speed pass must uphold:
+Two families of guarantees the speed pass must uphold:
 
 - the keyed :class:`FilterStore` index is a pure lookup structure —
   any interleaving of puts and (keyed or predicate) gets serves exactly
   the same items to the same getters at the same times as the legacy
   predicate scan;
 - both code paths implement oldest-matching FIFO semantics, checked
-  against a brute-force reference model;
-- the callback CPU engine and the original generator dispatch loop
-  produce byte-identical run documents.
-"""
+  against a brute-force reference model.
 
-import dataclasses
-import json
+The CPU dispatch engine is pinned by golden run documents instead
+(``tests/test_cpu_golden.py``).
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, FilterStore
-from repro.transputer import cpu as cpu_module
-from repro.transputer.cpu import set_cpu_engine
 
 
 # ------------------------------------------------------------------ stores
@@ -129,56 +125,3 @@ def test_keyed_get_api_validation():
         keyed.get(lambda m: True, key=1)   # mutually exclusive
     with pytest.raises(ValueError):
         legacy.get(key=1)                  # key= needs a keyed store
-
-
-# ------------------------------------------------------------------ cpu
-@pytest.fixture
-def engine_restored():
-    previous = cpu_module._ENGINE
-    yield
-    set_cpu_engine(previous)
-
-
-def _figure_cell_doc():
-    from repro.experiments import ExperimentScale, run_cell
-
-    scale = ExperimentScale(
-        "tiny", num_small=2, num_large=1,
-        matmul_small=16, matmul_large=32,
-        sort_small=256, sort_large=512,
-        partition_sizes=(1, 4), topologies=("linear",),
-    )
-    cell = run_cell(3, "matmul", "fixed", 4, "linear", "timesharing", scale)
-    return json.dumps(dataclasses.asdict(cell), sort_keys=True)
-
-
-def _steady_smoke_doc():
-    from repro.experiments.steady import steady_cell
-
-    result = steady_cell("static", rate=4.0, duration=30.0, nodes=4, seed=3)
-    doc = {
-        "arrived": result.jobs_arrived,
-        "completed": result.jobs_completed,
-        "mean": result.mean_response_time,
-        "steady": result.steady,
-        "summary": result.summary,
-    }
-    return json.dumps(doc, sort_keys=True, default=repr)
-
-
-@pytest.mark.parametrize("doc_fn", [_figure_cell_doc, _steady_smoke_doc],
-                         ids=["figure3-cell", "steady-smoke"])
-def test_cpu_engines_byte_identical(doc_fn, engine_restored):
-    """The callback dispatch machine is a pure execution strategy: a
-    closed figure-3 cell and an open steady-state run must serialise
-    byte-for-byte the same under either CPU engine."""
-    set_cpu_engine("callback")
-    with_callbacks = doc_fn()
-    set_cpu_engine("generator")
-    with_generators = doc_fn()
-    assert with_callbacks == with_generators
-
-
-def test_set_cpu_engine_validates():
-    with pytest.raises(ValueError):
-        set_cpu_engine("coroutine")

@@ -45,6 +45,52 @@ def test_bad_priority_rejected():
         cpu.execute(1.0, priority=7)
 
 
+@pytest.mark.parametrize("work", [float("nan"), float("inf")])
+def test_non_finite_burst_rejected_at_the_call(work):
+    """A NaN burst used to fail only inside the event loop, after the
+    context switch; an infinite one never completed."""
+    env = Environment()
+    cpu = make_cpu(env, context_switch_overhead=25e-6)
+    cpu.execute(0.01, LOW)
+    with pytest.raises(ValueError, match="work_seconds"):
+        cpu.execute(work, LOW)
+    env.run()
+    assert env.now == pytest.approx(0.01 + 25e-6)
+    assert cpu.stats.completed == 1
+
+
+@pytest.mark.parametrize("quantum", [float("nan"), float("inf"), 0.0])
+def test_bad_quantum_rejected_at_the_call(quantum):
+    env = Environment()
+    with pytest.raises(ValueError, match="quantum"):
+        make_cpu(env).execute(1.0, LOW, quantum=quantum)
+    # The config's default quantum is checked the same way when a CPU is
+    # built from an unvalidated config.
+    with pytest.raises(ValueError, match="quantum"):
+        make_cpu(env, quantum=quantum).execute(1.0, LOW)
+
+
+@pytest.mark.parametrize("overhead", [float("nan"), float("inf"), -1e-6])
+def test_bad_context_switch_overhead_rejected(overhead):
+    """A NaN overhead used to act as zero, because ``cost > 0`` is false."""
+    with pytest.raises(ValueError, match="context_switch_overhead"):
+        make_cpu(Environment(), context_switch_overhead=overhead)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("quantum", float("nan")),
+    ("quantum", float("inf")),
+    ("scheduler_quantum", float("nan")),
+    ("scheduler_quantum", float("inf")),
+    ("cpu_ops_per_second", float("nan")),
+    ("context_switch_overhead", float("nan")),
+    ("context_switch_overhead", float("inf")),
+])
+def test_config_validate_rejects_non_finite_cpu_fields(field, value):
+    with pytest.raises(ValueError, match=field):
+        TransputerConfig(**{field: value}).validate()
+
+
 def test_two_low_bursts_round_robin_interleave():
     """Two equal low-priority bursts finish at (nearly) the same time
     under round-robin — not one after the other."""
@@ -228,9 +274,48 @@ def test_preemption_requeues_at_back():
     assert cpu.stats.preemptions >= 1
 
 
+def test_high_arrival_during_switch_waits_for_the_quantum():
+    """No slice is interruptible during the context switch, so a HIGH
+    burst arriving then waits for the LOW slice's whole quantum.  The
+    figures depend on this; changing it is a results change (ROADMAP
+    item 4)."""
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    cpu.execute(0.1, LOW)
+    cpu.execute(0.1, LOW)
+    response = []
+
+    def inject(env):
+        yield env.timeout(10e-6)    # inside the first 25 us switch
+        submitted = env.now
+        yield cpu.execute(1e-4, HIGH)
+        response.append(env.now - submitted)
+
+    env.process(inject(env))
+    env.run(until=0.01)
+    assert response == [pytest.approx(2.14e-3)]
+
+
+def test_pause_during_switch_still_runs_one_slice():
+    """``pause_tag`` parks queued and running work, but a request in
+    its context switch is neither: it runs one full quantum first."""
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    paused = cpu.execute(0.1, LOW, tag="a")
+    cpu.execute(0.1, LOW, tag="b")
+
+    def pauser(env):
+        yield env.timeout(10e-6)
+        cpu.pause_tag("a")
+
+    env.process(pauser(env))
+    env.run(until=0.01)
+    assert paused.cpu_time == pytest.approx(2e-3)
+
+
 @given(st.lists(st.floats(min_value=1e-4, max_value=0.05), min_size=1, max_size=8))
 @settings(max_examples=30, deadline=None)
-def test_property_work_conserved(bursts):
+def test_property_makespan_is_total_work(bursts):
     """Makespan == total submitted work with zero overhead, and every
     request receives exactly its requested CPU time."""
     env = Environment()
@@ -241,6 +326,70 @@ def test_property_work_conserved(bursts):
     for req, w in zip(reqs, bursts):
         assert req.cpu_time == pytest.approx(w, rel=1e-6)
         assert req.remaining == 0.0
+
+
+#: One scripted operation: (time, kind, tag, work, per-request quantum).
+_SCRIPT_OPS = st.tuples(
+    st.floats(min_value=0.0, max_value=0.02),
+    st.sampled_from(["low", "low", "high", "pause", "resume"]),
+    st.integers(min_value=0, max_value=2),
+    st.floats(min_value=1e-5, max_value=0.01),
+    st.one_of(st.none(), st.floats(min_value=2e-4, max_value=3e-3)),
+)
+
+
+@given(
+    ops=st.lists(_SCRIPT_OPS, min_size=1, max_size=14),
+    overhead=st.floats(min_value=1e-5, max_value=1e-3),
+    quantum=st.floats(min_value=5e-4, max_value=3e-3),
+    requeue_at_back=st.booleans(),
+)
+@settings(max_examples=150, deadline=None)
+def test_property_work_conserved(ops, overhead, quantum, requeue_at_back):
+    """Random timed scripts: LOW and HIGH arrivals (overheads up to half
+    a quantum, so many land inside a context switch), gang pauses and
+    resumes, and interrupts of extended slices.  Every request completes
+    exactly once with exactly its work as CPU time, and the CPU's
+    accounting balances.  A stale slice timer that ran its old
+    continuation would double-credit a slice or complete a request
+    twice."""
+    env = Environment()
+    cpu = make_cpu(env, context_switch_overhead=overhead, quantum=quantum,
+                   requeue_at_back=requeue_at_back)
+    reqs = []
+
+    def driver(env):
+        for at, kind, tag, work, req_quantum in sorted(
+                ops, key=lambda op: op[0]):
+            if at > env.now:
+                yield env.timeout(at - env.now)
+            if kind == "pause":
+                cpu.pause_tag(tag)
+            elif kind == "resume":
+                cpu.resume_tag(tag)
+            else:
+                prio = HIGH if kind == "high" else LOW
+                req = cpu.execute(work, prio, quantum=req_quantum, tag=tag)
+                done = []
+                req.callbacks.append(lambda e, done=done: done.append(env.now))
+                reqs.append((req, work, done))
+        for tag in range(3):
+            cpu.resume_tag(tag)
+
+    env.process(driver(env))
+    env.run()
+    stats = cpu.stats
+    for req, work, done in reqs:
+        assert len(done) == 1
+        assert req.remaining == 0.0
+        assert req.cpu_time == pytest.approx(work, rel=1e-9, abs=1e-11)
+    total = sum(work for _, work, _ in reqs)
+    assert stats.completed == len(reqs)
+    assert stats.busy_time == pytest.approx(total, rel=1e-9, abs=1e-11)
+    assert stats.high_time + stats.low_time == pytest.approx(stats.busy_time)
+    assert stats.overhead_time == pytest.approx(stats.dispatches * overhead,
+                                                rel=1e-9)
+    assert sum(req.slices for req, _, _ in reqs) == stats.dispatches
 
 
 @given(
