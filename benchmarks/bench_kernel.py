@@ -8,6 +8,7 @@ experiment harness.
 
 from repro.comm import Network
 from repro.core import MulticomputerSystem, SystemConfig, TimeSharing
+from repro.obs import attach, attach_ledger
 from repro.obs.kernelprof import kernel_profile, validate_kernelprof
 from repro.sim import Environment, FilterStore
 from repro.topology import make_topology
@@ -247,6 +248,57 @@ def test_cpu_round_robin(benchmark):
     print(f"\ncpu_round_robin: {doc['events_per_sec']:,.0f} events/s, "
           f"{sum(c.stats.dispatches for c in cpus)} dispatches, "
           f"{sum(c.stats.preemptions for c in cpus)} preemptions")
+
+
+def test_observed_transport(benchmark):
+    """Store-and-forward transport with telemetry and the ledger on.
+
+    Every node of a 4x4 mesh sends a 32 KB message to every other node
+    while a long low-priority burst runs on each CPU.  Each packet hop
+    records a link transfer and two link gauge samples, each forwarding
+    burst a CPU slice that preempts the low burst (a preemption, a
+    requeue wait and the ledger's slice tallies), queued packets and
+    senders record buffer and mailbox waits, and each message a
+    ``net.msg`` span: the record mix of the instrumented figure runs,
+    condensed, so this times the recording path (GUIDE §9).  Event and
+    record counts are fixed by the model; a change to either is a
+    behaviour change, not a speed change.
+    """
+    N = 16
+    MESSAGE_BYTES = 32 * 1024
+    LOW_WORK = 0.5
+    EVENTS = 33_234
+    RECORDS = 16_320
+
+    def run():
+        with kernel_profile() as kp:
+            env = Environment()
+            tel = attach(env)
+            attach_ledger(env, telemetry=tel)
+            cfg = TransputerConfig()
+            nodes = {i: TransputerNode(env, i, cfg) for i in range(N)}
+            net = Network(env, nodes, make_topology("mesh", range(N)), cfg)
+
+            def receiver(env, me):
+                for _ in range(N - 1):
+                    yield net.recv(me, tag="all")
+
+            for i in range(N):
+                nodes[i].cpu.execute(LOW_WORK, LOW, tag="compute")
+                for peer in range(N):
+                    if peer != i:
+                        net.send(i, peer, MESSAGE_BYTES, tag="all")
+                env.process(receiver(env, i))
+            env.run()
+        return validate_kernelprof(kp.document()), tel
+
+    doc, tel = benchmark(run)
+    records = len(tel.recorder) + tel.recorder.dropped
+    assert doc["events"] == EVENTS
+    assert records == RECORDS
+    assert tel.recorder.categories()["cpu.preempt"] > 0
+    print(f"\nobserved_transport: {records / doc['kernel_s']:,.0f} "
+          f"records/s, {records} records, {doc['events']} events")
 
 
 def test_system_build_cost(benchmark):

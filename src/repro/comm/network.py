@@ -94,10 +94,9 @@ class Network:
         self.stats = NetworkStats()
         # Fast-path bindings: observability is attached to the
         # environment before the system's components are constructed
-        # (see ``system.build``), so one load each here replaces the
-        # per-packet-hop ``env.telemetry`` / ``env.kernel_profiler``
-        # attribute chains.
-        self._tel = env.telemetry
+        # (see ``system.build``), so one load each here (and the probe
+        # below) replaces the per-packet-hop ``env.telemetry`` /
+        # ``env.kernel_profiler`` attribute chains.
         self._kp = env.kernel_profiler
 
         diameter = topology.graph.diameter() if len(topology.nodes) > 1 else 0
@@ -125,6 +124,9 @@ class Network:
             self.nodes[v].links[u] = Link(
                 env, v, u, config.link_bandwidth, config.link_startup
             )
+        tel = env.telemetry
+        self._probe = (_NetworkProbe(env, tel, self.nodes.values())
+                       if tel is not None else None)
 
     # -- public API -----------------------------------------------------
     def send(self, src, dst, nbytes, tag=None, payload=None,
@@ -168,18 +170,90 @@ class Network:
         self.stats.messages_delivered += 1
         self.nodes[message.dst].mailbox.deliver(message, allocation)
         self.stats.total_latency += message.delivered_at - message.sent_at
-        tel = self._tel
-        if tel is not None:
-            latency = message.delivered_at - message.sent_at
-            tel.metrics.counter("net.messages").inc()
-            tel.metrics.histogram("net.msg_latency").observe(latency)
-            # One interval per message for the causal profiler: which
-            # job was in flight, between which of its processes.
-            tel.slice("net.msg", f"msg{message.msg_id}",
-                      message.sent_at, latency,
-                      src=message.src, dst=message.dst,
-                      src_proc=message.src_proc, dst_proc=message.dst_proc,
-                      job=message.job_id, nbytes=message.nbytes)
+        if self._probe is not None:
+            self._probe.deliver(message)
+
+
+class _LinkTrack:
+    """One directed link's trace subject and gauges (bound on first use)."""
+
+    __slots__ = ("src", "dst", "subject", "backlog_name", "busy_name",
+                 "backlog", "busy")
+
+    def __init__(self, src, dst):
+        self.src = src
+        self.dst = dst
+        self.subject = f"link{src}->{dst}"
+        self.backlog_name = f"link.backlog.node{src}->{dst}"
+        self.busy_name = f"link.busy.node{src}->{dst}"
+        self.backlog = None
+        self.busy = None
+
+
+class _NetworkProbe:
+    """A partition network's recording state; ``None`` when telemetry is off.
+
+    Per-link names are built once, when the network is wired.  Every
+    instrument handle is bound on its first use, never at construction:
+    a gauge's time average and first series point start when it is
+    created, and an instrument that never records must not appear in
+    the metrics export.
+    """
+
+    __slots__ = ("env", "append", "metrics", "links", "_messages",
+                 "_latency", "_packet_hops")
+
+    def __init__(self, env, tel, nodes):
+        self.env = env
+        self.append = tel.recorder.append
+        self.metrics = tel.metrics
+        self.links = {link: _LinkTrack(link.src, link.dst)
+                      for node in nodes for link in node.links.values()}
+        self._messages = None
+        self._latency = None
+        self._packet_hops = None
+
+    def transfer(self, link, nbytes):
+        """A packet entering ``link``: its span and the link's gauges."""
+        track = self.links[link]
+        wait = link.backlog
+        service = link.startup + nbytes / link.bandwidth
+        self.append(self.env._now + wait, "link.transfer", track.subject,
+                    {"dur": service, "node": track.src, "dst": track.dst,
+                     "nbytes": nbytes, "wait": wait})
+        metrics = self.metrics
+        hops = self._packet_hops
+        if hops is None:
+            hops = self._packet_hops = metrics.counter("net.packet_hops")
+        hops.inc()
+        backlog = track.backlog
+        if backlog is None:
+            backlog = track.backlog = metrics.gauge(track.backlog_name)
+        backlog.set(wait + service)
+        busy = track.busy
+        if busy is None:
+            busy = track.busy = metrics.gauge(track.busy_name)
+        busy.set(link.stats.busy_time + service)
+
+    def deliver(self, message):
+        """A delivered message: its count, latency and span."""
+        latency = message.delivered_at - message.sent_at
+        metrics = self.metrics
+        messages = self._messages
+        if messages is None:
+            messages = self._messages = metrics.counter("net.messages")
+        messages.inc()
+        hist = self._latency
+        if hist is None:
+            hist = self._latency = metrics.histogram("net.msg_latency")
+        hist.observe(latency)
+        # One interval per message for the causal profiler: which job
+        # was in flight, between which of its processes.
+        self.append(message.sent_at, "net.msg", f"msg{message.msg_id}",
+                    {"dur": latency, "src": message.src, "dst": message.dst,
+                     "src_proc": message.src_proc,
+                     "dst_proc": message.dst_proc, "job": message.job_id,
+                     "nbytes": message.nbytes})
 
 
 class _MessageWalker:
@@ -384,21 +458,9 @@ class _PacketWalker:
         v = self.path[self.hop + 1]
         self.slot = slot
         link = network.nodes[u].link_to(v)
-        tel = network._tel
-        if tel is not None:
-            env = network.env
-            wait = link.backlog
-            service = link.startup + packet.nbytes / link.bandwidth
-            tel.slice("link.transfer", f"link{u}->{v}",
-                      env.now + wait, service,
-                      node=u, dst=v, nbytes=packet.nbytes, wait=wait)
-            tel.metrics.counter("net.packet_hops").inc()
-            tel.metrics.gauge(f"link.backlog.node{u}->{v}").set(
-                wait + service
-            )
-            tel.metrics.gauge(f"link.busy.node{u}->{v}").set(
-                link.stats.busy_time + service
-            )
+        probe = network._probe
+        if probe is not None:
+            probe.transfer(link, packet.nbytes)
         link.transmit(packet.nbytes).callbacks.append(self._on_link)
 
     def _on_link(self, event):

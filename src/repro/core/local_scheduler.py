@@ -21,12 +21,14 @@ class LocalScheduler:
 
     def __init__(self, node):
         self.node = node
-        # Fast-path binding: telemetry is attached to the environment
-        # before the system's components are constructed (see
-        # ``system.build``), so one load here replaces the
-        # ``node.env.telemetry`` attribute chain on every dispatch.
-        self._tel = node.env.telemetry
-        self._led = node.env.decisions
+        # Fast-path binding: telemetry and the ledger are attached to
+        # the environment before the system's components are
+        # constructed (see ``system.build``), so one load here replaces
+        # the ``node.env`` attribute chains on every dispatch.
+        tel = node.env.telemetry
+        led = node.env.decisions
+        self._probe = (_LocalProbe(node.node_id, tel, led)
+                       if tel is not None or led is not None else None)
         #: CPU seconds consumed per job id on this node.
         self.job_cpu_time = defaultdict(float)
         #: Burst count per job id.
@@ -52,19 +54,9 @@ class LocalScheduler:
             work_seconds, priority=LOW, quantum=quantum, tag=job.job_id,
             proc=proc,
         )
-        led = self._led
-        if led is not None:
-            # Counter tier: one dispatch decision per submitted burst,
-            # classified by whether a policy quantum bounds it.
-            led.tally("local", "dispatch",
-                      "default_quantum" if quantum is None
-                      else "policy_quantum")
-        tel = self._tel
-        if tel is not None:
-            tel.metrics.histogram("sched.burst_seconds").observe(work_seconds)
-            tel.metrics.gauge(
-                f"cpu.backlog.node{self.node_id}"
-            ).set(self.node.cpu.queue_length)
+        probe = self._probe
+        if probe is not None:
+            probe.burst(self.node.cpu, work_seconds, quantum)
         req.callbacks.append(self._account)
         return req
 
@@ -95,3 +87,42 @@ class LocalScheduler:
 
     def __repr__(self):
         return f"<LocalScheduler node={self.node_id}>"
+
+
+class _LocalProbe:
+    """A local scheduler's recording state; ``None`` when nothing records.
+
+    The backlog gauge's name is built once; instrument handles are bound
+    on first use (a gauge's time average starts when it is created).
+    """
+
+    __slots__ = ("metrics", "ledger", "backlog_name", "_bursts", "_backlog")
+
+    def __init__(self, node_id, tel, led):
+        self.metrics = tel.metrics if tel is not None else None
+        self.ledger = led
+        self.backlog_name = f"cpu.backlog.node{node_id}"
+        self._bursts = None
+        self._backlog = None
+
+    def burst(self, cpu, work_seconds, quantum):
+        """A submitted burst: its dispatch decision, size and the CPU's
+        backlog after it."""
+        led = self.ledger
+        if led is not None:
+            # Counter tier: one dispatch decision per submitted burst,
+            # classified by whether a policy quantum bounds it.
+            led.tally("local", "dispatch",
+                      "default_quantum" if quantum is None
+                      else "policy_quantum")
+        metrics = self.metrics
+        if metrics is None:
+            return
+        bursts = self._bursts
+        if bursts is None:
+            bursts = self._bursts = metrics.histogram("sched.burst_seconds")
+        bursts.observe(work_seconds)
+        backlog = self._backlog
+        if backlog is None:
+            backlog = self._backlog = metrics.gauge(self.backlog_name)
+        backlog.set(cpu.queue_length)

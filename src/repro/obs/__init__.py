@@ -13,10 +13,9 @@ O(1)-memory online aggregates, MSER warm-up truncation, batch-means
 confidence intervals, and a windowed ``repro-steady/1`` JSONL stream.
 
 Instrumentation is zero-cost when disabled: the environment's
-``telemetry`` attribute stays ``None`` and every site guards on it, and
-code that prefers to hold a registry unconditionally can use the shared
-:data:`NULL_REGISTRY`.  Recording never creates simulation events, so
-telemetry cannot perturb simulated time.
+``telemetry`` attribute stays ``None`` and every site guards on it.
+Recording never creates simulation events, so telemetry cannot perturb
+simulated time.
 """
 
 from repro.obs.decisions import (
@@ -40,13 +39,11 @@ from repro.obs.diff import (
 from repro.obs.jsonl import jsonl_lines, jsonl_records, write_jsonl
 from repro.obs.metrics import (
     DEFAULT_BOUNDARIES,
-    NULL_REGISTRY,
     Counter,
     FrozenGauge,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     log_boundaries,
 )
 from repro.obs.perfetto import (
@@ -115,7 +112,7 @@ from repro.obs.sweeplog import (
     SweepObserver,
     read_sweep_log,
 )
-from repro.obs.telemetry import Telemetry, attach, registry_of
+from repro.obs.telemetry import Telemetry, attach
 
 __all__ = [
     "BUCKETS",
@@ -136,8 +133,6 @@ __all__ = [
     "KernelProfiler",
     "MetricsRegistry",
     "MultiObserver",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "OnlineStats",
     "OpenRunResult",
     "Profile",
@@ -188,7 +183,6 @@ __all__ = [
     "read_decisions_log",
     "read_steady_log",
     "register_schema",
-    "registry_of",
     "schema_ids",
     "sniff_schema",
     "slice_spans",

@@ -95,8 +95,9 @@ class DecisionLedger:
     def record(self, layer, kind, reason, subject, **detail):
         """Tally plus a ring record for job-granular decisions."""
         self.tally(layer, kind, reason)
-        self.recorder.record(self.env.now, CATEGORY, subject,
-                             layer=layer, kind=kind, reason=reason, **detail)
+        self.recorder.append(self.env.now, CATEGORY, str(subject),
+                             {"layer": layer, "kind": kind,
+                              "reason": reason, **detail})
 
     def defer(self, layer, subject, reason, queue_len, **detail):
         """Record one stalled dispatch round (deferral decision)."""

@@ -15,10 +15,7 @@ Three instrument kinds, mirroring the usual metrics vocabulary:
   bucket counts simply add.
 
 A :class:`MetricsRegistry` hands out instruments by name with
-get-or-create semantics.  The disabled counterpart,
-:class:`NullRegistry`, returns shared no-op instruments, so
-instrumentation sites can call ``registry.counter("x").inc()``
-unconditionally with negligible cost when telemetry is off.
+get-or-create semantics.
 """
 
 from __future__ import annotations
@@ -97,12 +94,23 @@ class Gauge:
         return self._twv.value if self._twv is not None else 0.0
 
     def set(self, value):
-        if self._twv is None:
+        twv = self._twv
+        if twv is None:
             return
-        self._twv.update(value)
-        if self.samples is not None:
-            if len(self.samples) < self._max_points:
-                self.samples.append((self._twv.env.now, value))
+        # ``TimeWeightedValue.update``, inlined: links and memories set
+        # their gauges on every packet hop and allocation.
+        now = twv.env._now
+        twv._area += twv._value * (now - twv._last_change)
+        twv._last_change = now
+        twv._value = value
+        if value > twv._max:
+            twv._max = value
+        if value < twv._min:
+            twv._min = value
+        samples = self.samples
+        if samples is not None:
+            if len(samples) < self._max_points:
+                samples.append((now, value))
             else:
                 self.dropped_points += 1
 
@@ -211,8 +219,11 @@ class Histogram:
         self.counts[bisect_left(self.boundaries, x)] += 1
         self.count += 1
         self.total += x
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
+        # The comparisons ``min``/``max`` make, NaN handling included.
+        if x < self._min:
+            self._min = x
+        if x > self._max:
+            self._max = x
 
     @property
     def mean(self):
@@ -284,20 +295,17 @@ class MetricsRegistry:
     ``mem.job.node5.in_use``) so the exporters can place them.
     """
 
-    enabled = True
-
     def __init__(self, env=None, series=True, max_series_points=100_000):
         self.env = env
         self.series = series
         self.max_series_points = max_series_points
         self._instruments = {}
 
-    def _get(self, name, kind, factory):
+    def _lookup(self, name, kind):
+        """The registered instrument ``name`` (``None`` if there is
+        none), which must be a ``kind``."""
         inst = self._instruments.get(name)
-        if inst is None:
-            inst = self._instruments[name] = factory()
-            return inst
-        if not isinstance(inst, kind):
+        if inst is not None and not isinstance(inst, kind):
             raise TypeError(
                 f"metric {name!r} already registered as "
                 f"{type(inst).__name__}, not {kind.__name__}"
@@ -305,17 +313,40 @@ class MetricsRegistry:
         return inst
 
     def counter(self, name):
-        return self._get(name, Counter, lambda: Counter(name))
+        inst = self._lookup(name, Counter)
+        if inst is None:
+            inst = self._instruments[name] = Counter(name)
+        return inst
 
     def gauge(self, name, initial=0.0):
-        return self._get(name, Gauge, lambda: Gauge(
-            name, env=self.env, initial=initial, series=self.series,
-            max_points=self.max_series_points,
-        ))
+        inst = self._lookup(name, Gauge)
+        if inst is None:
+            inst = self._instruments[name] = Gauge(
+                name, env=self.env, initial=initial, series=self.series,
+                max_points=self.max_series_points,
+            )
+        return inst
 
-    def histogram(self, name, boundaries=DEFAULT_BOUNDARIES):
-        return self._get(name, Histogram,
-                         lambda: Histogram(name, boundaries=boundaries))
+    def histogram(self, name, boundaries=None):
+        """The histogram ``name``, created with ``boundaries`` (default
+        :data:`DEFAULT_BOUNDARIES`) if new.
+
+        Explicit ``boundaries`` must match an existing histogram's: a
+        conflicting geometry raises ``ValueError``, as :meth:`merge`
+        does, rather than handing back buckets the caller did not ask
+        for.
+        """
+        inst = self._lookup(name, Histogram)
+        if inst is None:
+            inst = self._instruments[name] = Histogram(
+                name, DEFAULT_BOUNDARIES if boundaries is None
+                else boundaries)
+        elif boundaries is not None and tuple(boundaries) != inst.boundaries:
+            raise ValueError(
+                f"metric {name!r} already registered with different "
+                f"histogram boundaries"
+            )
+        return inst
 
     # -- introspection ---------------------------------------------------
     def __len__(self):
@@ -412,91 +443,3 @@ class MetricsRegistry:
                 mine.merge(inst)
         return self
 
-
-class _NullInstrument:
-    """Shared do-nothing instrument backing :class:`NullRegistry`."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-    count = 0
-    total = 0.0
-    mean = 0.0
-    min = 0.0
-    max = 0.0
-    samples = None
-    dropped_points = 0
-
-    def inc(self, n=1):
-        pass
-
-    def set(self, value):
-        pass
-
-    def add(self, delta):
-        pass
-
-    def observe(self, x):
-        pass
-
-    def time_average(self, until=None):
-        return 0.0
-
-    def quantile(self, q):
-        return 0.0
-
-    def to_dict(self):
-        return {"type": "null"}
-
-
-NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry:
-    """Disabled registry: every lookup returns the shared no-op instrument.
-
-    Keeping the interface identical lets instrumentation sites hold a
-    registry reference unconditionally; with telemetry off every call
-    degrades to an attribute lookup and a no-op method.
-    """
-
-    enabled = False
-    env = None
-    series = False
-
-    def counter(self, name):
-        return NULL_INSTRUMENT
-
-    def gauge(self, name, initial=0.0):
-        return NULL_INSTRUMENT
-
-    def histogram(self, name, boundaries=DEFAULT_BOUNDARIES):
-        return NULL_INSTRUMENT
-
-    def __len__(self):
-        return 0
-
-    def __iter__(self):
-        return iter(())
-
-    def names(self, prefix=""):
-        return []
-
-    def get(self, name):
-        return None
-
-    def gauges(self):
-        return {}
-
-    def to_dict(self):
-        return {}
-
-    def merge_histograms(self, prefix):
-        return None
-
-    def merge(self, other):
-        return self
-
-
-#: Shared disabled registry (safe: it holds no state).
-NULL_REGISTRY = NullRegistry()

@@ -9,16 +9,19 @@ sinks every model layer records into:
   histograms.
 
 The environment carries at most one telemetry object
-(``env.telemetry``, ``None`` by default); instrumentation sites guard
-with ``tel = env.telemetry`` / ``if tel is not None``, which costs one
-attribute load per site when telemetry is off.  Nothing in this module
-creates simulation events or processes, so enabling telemetry can never
-perturb simulated time.
+(``env.telemetry``, ``None`` by default).  The hot components (CPUs,
+networks, allocators, local schedulers) bind a private probe from it
+at construction, ``None`` when telemetry is off, holding their names
+and instrument handles; other sites guard with ``tel = env.telemetry``
+/ ``if tel is not None``.  Either way a site costs one ``None`` test
+when telemetry is off.  Nothing in this module creates simulation
+events or processes, so enabling telemetry can never perturb simulated
+time.
 """
 
 from __future__ import annotations
 
-from repro.obs.metrics import MetricsRegistry, NULL_REGISTRY
+from repro.obs.metrics import MetricsRegistry
 from repro.trace.recorder import TraceRecorder
 
 #: Default ring-buffer capacity for instrumented runs.  Big experiments
@@ -37,12 +40,12 @@ class Telemetry:
     # -- recording helpers ----------------------------------------------
     def event(self, category, subject, **detail):
         """Record an instant event at the current simulated time."""
-        self.recorder.record(self.env.now, category, subject, **detail)
+        self.recorder.append(self.env.now, category, str(subject), detail)
 
     def slice(self, category, subject, start, duration, **detail):
         """Record an interval as an event at ``start`` with a ``dur``."""
-        self.recorder.record(start, category, subject, dur=duration,
-                             **detail)
+        self.recorder.append(start, category, str(subject),
+                             {"dur": duration, **detail})
 
     def job_observer(self):
         """``on_transition`` hook wiring job lifecycle into the recorder."""
@@ -84,8 +87,3 @@ def attach(env, capacity=DEFAULT_CAPACITY, series=True):
     env.telemetry = tel
     return tel
 
-
-def registry_of(env):
-    """The environment's metrics registry, or the shared no-op one."""
-    tel = getattr(env, "telemetry", None)
-    return tel.metrics if tel is not None else NULL_REGISTRY

@@ -136,10 +136,14 @@ class Cpu:
         # Observability is attached to the environment before the
         # system's components are constructed (see ``system.build``), so
         # with telemetry and the ledger off the dispatch path skips the
-        # observer calls behind one flag test per slice end.
-        self._tel = env.telemetry
-        self._led = env.decisions
-        self._observed = self._tel is not None or self._led is not None
+        # observers behind one ``None`` test per slice end.  The
+        # recording state lives on the probe, not here: a Cpu with five
+        # more attributes lost CPython's shared instance-dict keys and
+        # slowed every simulation, recording or not (GUIDE §9).
+        tel = env.telemetry
+        led = env.decisions
+        self._probe = (_CpuProbe(env, node_id, tel, led)
+                       if tel is not None or led is not None else None)
         self._overhead = overhead
         self.stats = CpuStats()
         self._high = deque()
@@ -329,8 +333,9 @@ class Cpu:
                 slice_len = req.remaining
                 self._slice_interruptible = "extended"
             timer.callbacks = self._low_end_cbs
-        if self._observed:
-            self._observe_grant(req, first)
+        probe = self._probe
+        if probe is not None:
+            probe.grant(req, first, self._slice_interruptible)
         req.slices += 1
         stats.dispatches += 1
         self._slice_start = now
@@ -347,8 +352,9 @@ class Cpu:
         stats.high_time += burst
         stats.completed += 1
         self._running = None
-        if self._tel is not None:
-            self._observe_slice(req, self._slice_start, burst, "high")
+        probe = self._probe
+        if probe is not None:
+            probe.high_end(req, self._slice_start, burst)
         self._dispatch_next()
         self.env.handoff(req, req)
 
@@ -375,8 +381,9 @@ class Cpu:
         stats = self.stats
         stats.busy_time += elapsed
         stats.low_time += elapsed
-        if self._observed:
-            self._observe_low_end(req, elapsed, preempted)
+        probe = self._probe
+        if probe is not None:
+            probe.low_end(req, self._slice_start, elapsed, preempted)
         if remaining <= _EPS:
             req.remaining = 0.0
             stats.completed += 1
@@ -408,62 +415,93 @@ class Cpu:
         else:
             self._cb_overhead()
 
-    # -- telemetry ----------------------------------------------------------
-    def _observe_grant(self, req, first):
-        """A slice start: its ready-queue wait, first-dispatch latency and
-        the ledger's quantum-arming tally."""
-        tel = self._tel
+
+class _CpuProbe:
+    """A CPU's recording state; the CPU holds ``None`` when nothing records.
+
+    The track name and node id are built once here.  ``append`` is the
+    telemetry recorder's append (``None`` with only the ledger on), and
+    each instrument handle is bound on its first use: a histogram or
+    counter that never records must not appear in the metrics export.
+    """
+
+    __slots__ = ("env", "node", "track", "append", "metrics", "ledger",
+                 "_latency", "_quantum_slice", "_preemptions")
+
+    def __init__(self, env, node_id, tel, led):
+        node = node_id if node_id is not None else -1
+        self.env = env
+        self.node = node
+        self.track = f"node{node}.cpu"
+        self.append = tel.recorder.append if tel is not None else None
+        self.metrics = tel.metrics if tel is not None else None
+        self.ledger = led
+        self._latency = None
+        self._quantum_slice = None
+        self._preemptions = None
+
+    def grant(self, req, first, mode):
+        """A slice start: its ready-queue wait, first-dispatch latency
+        and the ledger's quantum-arming tally (``mode``)."""
         low = req.priority == LOW
-        if tel is not None:
+        append = self.append
+        if append is not None:
+            now = self.env._now
             if low:
-                self._observe_wait(req)
+                # The ready-queue interval that ended with this
+                # dispatch, stamped at the instant the request
+                # (re-)entered the queue; ``kind`` tells a first grant
+                # ("enqueue") from regaining the CPU after losing it
+                # with work remaining ("requeue": quantum expiry,
+                # preemption, or a gang park).
+                wait = now - req.ready_since
+                if wait > 0:
+                    append(req.ready_since, "cpu.wait", self.track,
+                           {"dur": wait, "node": self.node, "tag": req.tag,
+                            "proc": req.proc, "kind": req.ready_kind})
             if first:
-                tel.metrics.histogram("cpu.dispatch_latency").observe(
-                    self.env._now - req.submitted_at)
-        if low and self._led is not None:
+                latency = self._latency
+                if latency is None:
+                    latency = self._latency = self.metrics.histogram(
+                        "cpu.dispatch_latency")
+                latency.observe(now - req.submitted_at)
+        if low and self.ledger is not None:
             # Counter tier only: a ring record per slice would blow the
             # ledger's overhead ceiling on slice-dominated runs.
-            self._led.tally("cpu", "arm", self._slice_interruptible)
+            self.ledger.tally("cpu", "arm", mode)
 
-    def _observe_low_end(self, req, elapsed, preempted):
+    def high_end(self, req, start, burst):
+        """A completed high-priority slice, as a span on the CPU track."""
+        if self.append is not None:
+            self.append(start, "cpu.slice", self.track,
+                        {"dur": burst, "node": self.node, "prio": "high",
+                         "tag": req.tag, "proc": req.proc})
+
+    def low_end(self, req, start, elapsed, preempted):
         """A low slice's end: its outcome tally, span and preemption."""
-        led = self._led
+        led = self.ledger
         if led is not None:
             led.tally("cpu", "slice",
                       "preempted" if preempted
                       else "block_yield" if req.remaining <= _EPS
                       else "quantum_expiry")
-        tel = self._tel
-        if tel is not None:
-            if elapsed > 0:
-                self._observe_slice(req, self._slice_start, elapsed, "low")
-            if preempted:
-                node = self.node_id if self.node_id is not None else -1
-                tel.metrics.counter("cpu.preemptions").inc()
-                tel.event("cpu.preempt", f"node{node}.cpu", node=node,
-                          tag=req.tag)
-
-    def _observe_slice(self, req, start, elapsed, prio):
-        """One executed slice as a span on this node's CPU track."""
-        tel = self._tel
-        node = self.node_id if self.node_id is not None else -1
-        tel.slice("cpu.slice", f"node{node}.cpu", start, elapsed,
-                  node=node, prio=prio, tag=req.tag, proc=req.proc)
-        if prio == "low":
-            tel.metrics.histogram("cpu.quantum_slice").observe(elapsed)
-
-    def _observe_wait(self, req):
-        """The ready-queue interval that ended with this dispatch.
-
-        Recorded as a ``cpu.wait`` slice stamped at the instant the
-        request (re-)entered the queue; ``kind`` distinguishes the wait
-        for a first grant ("enqueue") from waiting to regain the CPU
-        after losing it with work remaining ("requeue" — quantum expiry,
-        preemption, or a gang park).
-        """
-        wait = self.env._now - req.ready_since
-        if wait > 0:
-            node = self.node_id if self.node_id is not None else -1
-            self._tel.slice("cpu.wait", f"node{node}.cpu", req.ready_since,
-                            wait, node=node, tag=req.tag, proc=req.proc,
-                            kind=req.ready_kind)
+        append = self.append
+        if append is None:
+            return
+        if elapsed > 0:
+            append(start, "cpu.slice", self.track,
+                   {"dur": elapsed, "node": self.node, "prio": "low",
+                    "tag": req.tag, "proc": req.proc})
+            quantum_slice = self._quantum_slice
+            if quantum_slice is None:
+                quantum_slice = self._quantum_slice = self.metrics.histogram(
+                    "cpu.quantum_slice")
+            quantum_slice.observe(elapsed)
+        if preempted:
+            preemptions = self._preemptions
+            if preemptions is None:
+                preemptions = self._preemptions = self.metrics.counter(
+                    "cpu.preemptions")
+            preemptions.inc()
+            append(self.env._now, "cpu.preempt", self.track,
+                   {"node": self.node, "tag": req.tag})

@@ -83,12 +83,14 @@ class Mmu:
         self.env = env
         self.capacity = int(capacity_bytes)
         self.node_id = node_id
-        # Fast-path binding (observability is attached before the
-        # system's components are constructed; see ``system.build``).
-        self._tel = env.telemetry
         #: Which memory region this allocator manages ("job"/"mailbox"),
         #: used to name its telemetry instruments.
         self.region = region
+        # Fast-path binding (observability is attached before the
+        # system's components are constructed; see ``system.build``).
+        tel = env.telemetry
+        self._probe = (_MmuProbe(tel, node_id, region)
+                       if tel is not None else None)
         self._in_use = 0
         self._waiters = deque()  # (request, enqueue_time)
         self.stats = MmuStats()
@@ -137,18 +139,12 @@ class Mmu:
             raise MemoryError_("double free")
         allocation.freed = True
         self._in_use -= allocation.nbytes
-        self._observe_level()
+        if self._probe is not None:
+            self._probe.level(self._in_use)
         self._drain()
 
-    def _observe_level(self):
-        tel = self._tel
-        if tel is not None:
-            tel.metrics.gauge(
-                f"mem.{self.region}.node{self.node_id}.in_use"
-            ).set(self._in_use)
-
     def _drain(self):
-        tel = self._tel
+        probe = self._probe
         while self._waiters:
             req, t0 = self._waiters[0]
             if req.nbytes > self.available:
@@ -160,17 +156,51 @@ class Mmu:
             self.stats.bytes_allocated += req.nbytes
             wait = self.env.now - t0
             self.stats.total_wait_time += wait
-            if tel is not None:
-                tel.metrics.histogram(
-                    f"mem.{self.region}.wait"
-                ).observe(wait)
-                if wait > 0:
-                    tel.slice("mem.wait", f"node{self.node_id}.{self.region}",
-                              t0, wait, node=self.node_id,
-                              region=self.region, job=req.owner,
-                              nbytes=req.nbytes)
-                self._observe_level()
+            if probe is not None:
+                probe.grant(req, t0, wait, self._in_use)
             req.succeed(Allocation(self, req.nbytes, self.env.now))
+
+
+class _MmuProbe:
+    """An allocator's recording state; ``None`` when telemetry is off.
+
+    Names are built once; instrument handles are bound on first use
+    (a gauge's time average starts when it is created).
+    """
+
+    __slots__ = ("append", "metrics", "node", "region", "track",
+                 "level_name", "wait_name", "_level", "_wait")
+
+    def __init__(self, tel, node_id, region):
+        self.append = tel.recorder.append
+        self.metrics = tel.metrics
+        self.node = node_id
+        self.region = region
+        self.track = f"node{node_id}.{region}"
+        self.level_name = f"mem.{region}.node{node_id}.in_use"
+        self.wait_name = f"mem.{region}.wait"
+        self._level = None
+        self._wait = None
+
+    def level(self, in_use):
+        gauge = self._level
+        if gauge is None:
+            gauge = self._level = self.metrics.gauge(self.level_name)
+        gauge.set(in_use)
+
+    def grant(self, req, t0, wait, in_use):
+        """A granted allocation: its wait, as a span if it waited, and
+        the new level."""
+        hist = self._wait
+        if hist is None:
+            hist = self._wait = self.metrics.histogram(self.wait_name)
+        hist.observe(wait)
+        if wait > 0:
+            self.append(t0, "mem.wait", self.track,
+                        {"dur": wait, "node": self.node,
+                         "region": self.region, "job": req.owner,
+                         "nbytes": req.nbytes})
+        self.level(in_use)
 
 
 class BufferRequest(Event):
@@ -237,7 +267,9 @@ class BufferPool:
         self.env = env
         self.node_id = node_id
         # Fast-path binding (see ``Mmu``): one load at construction.
-        self._tel = env.telemetry
+        tel = env.telemetry
+        self._probe = (_BufferProbe(tel, node_id)
+                       if tel is not None else None)
         self.num_classes = num_classes
         self.buffer_bytes = buffer_bytes
         self._free = [buffers_per_class] * num_classes
@@ -325,11 +357,31 @@ class BufferPool:
         stats.grants += 1
         wait = self.env.now - t0
         stats.total_wait_time += wait
-        tel = self._tel
-        if tel is not None:
-            tel.metrics.histogram("buf.wait").observe(wait)
-            if wait > 0:
-                tel.slice("buf.wait", f"node{self.node_id}.buffers",
-                          t0, wait, node=self.node_id, job=req.owner,
-                          hop_class=req.hop_class)
+        probe = self._probe
+        if probe is not None:
+            probe.grant(req, t0, wait)
         req.succeed(Buffer(self, cls))
+
+
+class _BufferProbe:
+    """A buffer pool's recording state; ``None`` when telemetry is off."""
+
+    __slots__ = ("append", "metrics", "node", "track", "_wait")
+
+    def __init__(self, tel, node_id):
+        self.append = tel.recorder.append
+        self.metrics = tel.metrics
+        self.node = node_id
+        self.track = f"node{node_id}.buffers"
+        self._wait = None
+
+    def grant(self, req, t0, wait):
+        """A granted buffer: its wait, as a span if it waited."""
+        hist = self._wait
+        if hist is None:
+            hist = self._wait = self.metrics.histogram("buf.wait")
+        hist.observe(wait)
+        if wait > 0:
+            self.append(t0, "buf.wait", self.track,
+                        {"dur": wait, "node": self.node, "job": req.owner,
+                         "hop_class": req.hop_class})

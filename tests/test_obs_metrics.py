@@ -13,7 +13,6 @@ from repro.core import (
 )
 from repro.experiments.serialization import result_to_dict
 from repro.obs import (
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
@@ -46,6 +45,23 @@ def test_gauge_time_average_and_series():
     # 2.0 for 1s then 4.0 for 1s -> time-average 3.0.
     assert g.time_average() == pytest.approx(3.0)
     assert g.samples == [(0.0, 2.0), (1.0, 4.0)]
+
+
+def test_gauge_matches_time_weighted_value():
+    """``Gauge.set`` inlines ``TimeWeightedValue.update``: both report
+    the same level, extremes and time average, NaN included."""
+    env = Environment()
+    gauge = Gauge("g", env=env, initial=1.0, series=True)
+    ref = TimeWeightedValue(env, initial=1.0)
+    for dt, value in ((0.5, 3.0), (0.0, -2.0), (0.25, 9.0), (1.0, 0.5),
+                      (0.5, float("nan")), (0.5, 4.0)):
+        env.run(until=env.timeout(dt))
+        gauge.set(value)
+        ref.update(value)
+        assert repr((gauge.value, gauge.to_dict()["max"],
+                     gauge.to_dict()["min"], gauge.time_average())) == repr(
+            (ref.value, ref.max, ref.min, ref.time_average()))
+    assert gauge.samples[-1] == (env.now, 4.0)
 
 
 def test_histogram_fixed_buckets_and_merge_exact():
@@ -151,21 +167,19 @@ def test_registry_merge_rejects_kind_mismatch():
         a.merge(b)
 
 
-def test_null_registry_merge_is_inert():
+def test_registry_rejects_conflicting_histogram_geometry():
+    """An explicit geometry must match the registered histogram's; a
+    lookup without one returns the histogram whatever its geometry."""
     reg = MetricsRegistry(env=Environment())
-    reg.counter("jobs").inc()
-    assert NULL_REGISTRY.merge(reg) is NULL_REGISTRY
-    assert len(NULL_REGISTRY) == 0
-
-
-def test_null_registry_is_inert():
-    assert not NULL_REGISTRY.enabled
-    NULL_REGISTRY.counter("x").inc()
-    NULL_REGISTRY.gauge("y").set(3)
-    NULL_REGISTRY.histogram("z").observe(1.0)
-    assert len(NULL_REGISTRY) == 0
-    assert NULL_REGISTRY.to_dict() == {}
-    assert NULL_REGISTRY.counter("x").value == 0
+    hist = reg.histogram("x")
+    with pytest.raises(ValueError, match="'x'"):
+        reg.histogram("x", boundaries=log_boundaries(per_decade=2))
+    assert reg.histogram("x", boundaries=log_boundaries()) is hist
+    assert reg.histogram("x") is hist
+    coarse = reg.histogram("y", boundaries=log_boundaries(per_decade=2))
+    assert reg.histogram("y") is coarse
+    with pytest.raises(ValueError, match="'y'"):
+        reg.histogram("y", boundaries=log_boundaries())
 
 
 # -- satellite: TimeWeightedValue guard ---------------------------------

@@ -1,5 +1,7 @@
 """Tests for the structured trace recorder."""
 
+import pickle
+
 import pytest
 
 from repro.core import MulticomputerSystem, StaticSpaceSharing, SystemConfig
@@ -75,6 +77,51 @@ def test_trace_event_rendering():
     e = TraceEvent(1.25, "job.started", "job1", {"size": "small"})
     s = str(e)
     assert "job.started" in s and "job1" in s and "size=small" in s
+
+
+def test_trace_event_is_immutable():
+    e = TraceEvent(1.0, "c", "s", {"k": 1})
+    for field in ("time", "category", "subject", "detail"):
+        with pytest.raises(AttributeError):
+            setattr(e, field, None)
+    with pytest.raises(AttributeError):
+        e.extra = 1
+
+
+def test_trace_event_equality_and_hash_ignore_detail():
+    a = TraceEvent(1.0, "c", "s", {"k": 1})
+    b = TraceEvent(1.0, "c", "s", {"k": 2})
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != TraceEvent(1.0, "c", "t", {"k": 1})
+    assert a != TraceEvent(2.0, "c", "s", {"k": 1})
+    assert a != (1.0, "c", "s", {"k": 1})
+
+
+def test_trace_event_pickle_round_trip_keeps_detail():
+    e = TraceEvent(0.5, "cpu.slice", "node0.cpu", {"dur": 0.1, "tag": 3})
+    back = pickle.loads(pickle.dumps(e))
+    assert type(back) is TraceEvent
+    assert back == e
+    assert (back.time, back.category, back.subject) == (0.5, "cpu.slice",
+                                                         "node0.cpu")
+    assert list(back.detail.items()) == [("dur", 0.1), ("tag", 3)]
+    rec = TraceRecorder(capacity=2)
+    for i in range(3):
+        rec.record(float(i), "c", i, n=i)
+    back = pickle.loads(pickle.dumps(rec))
+    assert [(e.time, e.subject, e.detail) for e in back] == [
+        (1.0, "1", {"n": 1}), (2.0, "2", {"n": 2})]
+    assert back.dropped == 1
+
+
+def test_trace_event_repr_and_default_detail():
+    e = TraceEvent(1.25, "job.started", "job1")
+    assert e.detail == {}
+    assert repr(e) == ("TraceEvent(time=1.25, category='job.started', "
+                       "subject='job1', detail={})")
+    assert str(e) == "[    1.250000] job.started  job1"
 
 
 def test_system_trace_captures_job_lifecycle():
