@@ -180,7 +180,8 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--fail-on-regression", action="store_true",
-        help="(diff) exit 1 when a significant regression is found, "
+        help="(diff) exit 1 when a significant regression or any "
+             "simulated drift (bench mean RT, counters) is found, "
              "3 when an attribution profile is truncated (unsound)",
     )
     parser.add_argument(
@@ -507,9 +508,9 @@ def _run_diff(args, out=None):
     """``diff <baseline> <candidate>``: the run-diff regression explainer.
 
     Returns the process exit code: 0 clean, 1 significant regression
-    (with ``--fail-on-regression``), 3 when an attribution profile was
-    built from a truncated trace — those deltas are unsound and must
-    not pass a gate silently.
+    or any simulated drift (with ``--fail-on-regression``), 3 when an
+    attribution profile was built from a truncated trace — those deltas
+    are unsound and must not pass a gate silently.
     """
     out = out or sys.stdout
     from repro.obs.diff import (

@@ -20,11 +20,15 @@ the static policy's best/worst batch orderings pooled), and produces a
   response time exactly, so the bucket deltas sum to the cell delta;
 - gates wall-clock per figure and in total, calibration-normalised
   across hosts exactly like :func:`repro.experiments.bench_json.compare`;
-- surfaces counter/histogram drift from the metrics snapshots and the
-  trace-truncation state of both sides — deltas computed from a
-  ring-buffer-truncated attribution profile are *unsound* and carry a
-  distinct exit code (:data:`EXIT_TRUNCATED`) so CI never greenlights
-  them silently.
+- gates on *any* simulated drift: a same-scale bench mean response
+  time, or a counter/histogram of the metrics snapshots, that differs
+  at all, and a baseline figure or policy the candidate no longer
+  reports (the simulator is deterministic, so behaviour-preserving
+  changes leave them bit-identical);
+- surfaces the trace-truncation state of both sides — deltas computed
+  from a ring-buffer-truncated attribution profile are *unsound* and
+  carry a distinct exit code (:data:`EXIT_TRUNCATED`) so CI never
+  greenlights them silently.
 
 Everything renders as a human report (:func:`format_diff_report`) and a
 schema-versioned ``repro-diff/1`` JSON (:meth:`DiffResult.to_dict`);
@@ -45,7 +49,8 @@ SCHEMA = "repro-diff/1"
 
 #: Exit codes of ``repro-experiments diff --fail-on-regression``.
 EXIT_OK = 0
-#: At least one significant regression (mean-RT cell or wall-clock).
+#: At least one regression: a significant mean-RT cell delta, a
+#: wall-clock ratio past tolerance, or any simulated drift.
 EXIT_REGRESSION = 1
 #: An attribution profile was built from a truncated trace: the deltas
 #: are unsound, regardless of what they say.
@@ -501,8 +506,17 @@ class DiffResult:
                 or self.candidate.attrib_truncated())
 
     @property
+    def drifted(self):
+        """True when a simulated result differs at all: a same-scale
+        bench mean RT (or a baseline figure or policy missing from the
+        candidate), or a counter/histogram when both sides carry metrics
+        snapshots."""
+        return bool(self.rt_drift_notes or self.counters)
+
+    @property
     def regressed(self):
-        return bool(self.significant_regressions() or self.wall_regressions())
+        return bool(self.significant_regressions() or self.wall_regressions()
+                    or self.drifted)
 
     def exit_code(self, fail_on_regression=False):
         """Gate verdict: truncation trumps everything, then regressions."""
@@ -604,25 +618,33 @@ def diff_runs(baseline, candidate, *, min_effect=DEFAULT_MIN_EFFECT,
                                wall_tolerance)
     result.counters = _counter_deltas(baseline.metrics, candidate.metrics)
 
-    # Simulated mean-RT drift recorded in the bench documents: reported
+    # Simulated mean-RT drift recorded in the bench documents: gated
     # even without attribution profiles (then there is nothing to
     # localise the drift to, but the signal itself must not vanish).
+    # Exact comparison: the simulator is deterministic, so even a
+    # one-ulp change means the simulated behaviour changed.  A baseline
+    # figure or policy the candidate no longer reports drifts too.
     if baseline.bench and candidate.bench and \
             baseline.bench.get("scale") == candidate.bench.get("scale"):
-        base_rt = {s["figure"]: s.get("mean_rt", {})
-                   for s in baseline.bench.get("scenarios", [])}
-        for s in candidate.bench.get("scenarios", []):
-            ref = base_rt.get(s["figure"])
-            if ref is None:
-                continue
-            for policy, rt in s.get("mean_rt", {}).items():
-                old = ref.get(policy)
-                if old is None or old == rt:
-                    continue
+        cand_rt = {s["figure"]: s.get("mean_rt", {})
+                   for s in candidate.bench.get("scenarios", [])}
+        for s in baseline.bench.get("scenarios", []):
+            got = cand_rt.get(s["figure"])
+            if got is None:
                 result.rt_drift_notes.append(
-                    f"figure {s['figure']} {policy}: bench mean RT "
-                    f"{old:.6f} -> {rt:.6f}"
-                )
+                    f"figure {s['figure']}: missing from the candidate")
+                continue
+            for policy, old in s.get("mean_rt", {}).items():
+                rt = got.get(policy)
+                if rt is None:
+                    result.rt_drift_notes.append(
+                        f"figure {s['figure']} {policy}: bench mean RT "
+                        f"missing from the candidate")
+                elif rt != old:
+                    result.rt_drift_notes.append(
+                        f"figure {s['figure']} {policy}: bench mean RT "
+                        f"{old:.6f} -> {rt:.6f} ({rt - old:+.3g})"
+                    )
 
     from repro.experiments.bench_json import trajectory_series
 
@@ -686,13 +708,14 @@ def format_diff_report(result):
                      "both sides; cell-level localisation skipped")
 
     if result.rt_drift_notes:
-        lines.append("--- bench-document mean-RT drift")
+        lines.append("--- bench-document mean-RT drift (any drift is a "
+                     "regression)")
         for note in result.rt_drift_notes:
             lines.append(f"  {note}")
 
     if result.counters:
         lines.append("--- counters / histograms (combined registries, "
-                     "top drift first)")
+                     "top drift first; any drift is a regression)")
         for d in result.counters[:10]:
             rel = (f"{d['rel']:+.1%}" if math.isfinite(d["rel"])
                    else "new")
@@ -726,7 +749,8 @@ def format_diff_report(result):
     elif result.regressed:
         verdict = (f"REGRESSED ({len(result.significant_regressions())} "
                    f"cell(s), {len(result.wall_regressions())} "
-                   f"wall-clock)")
+                   f"wall-clock, {len(result.rt_drift_notes)} mean-RT "
+                   f"drift, {len(result.counters)} counter drift)")
     else:
         verdict = "OK (no significant regressions)"
     lines.append(f"verdict: {verdict}")

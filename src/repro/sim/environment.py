@@ -9,7 +9,9 @@ from time import perf_counter_ns
 
 from repro.sim.events import (
     NORMAL,
+    NORMAL_KEY,
     PENDING,
+    PRIORITY_SHIFT,
     URGENT,
     AllOf,
     AnyOf,
@@ -34,16 +36,9 @@ _KERNEL_PROFILER = None
 #: and compare trajectories byte for byte.
 _POOLING = True
 
-#: Agenda keys pack ``(priority, sequence)`` into one integer:
-#: ``(priority << _PRIORITY_SHIFT) | seq``.  With priorities limited to
-#: URGENT (0) and NORMAL (1) and the monotone sequence far below 2**56
-#: for any feasible run, integer comparison of the packed key is
-#: exactly the lexicographic comparison of the old ``(priority, seq)``
-#: tuple tail — same total order, one less tuple slot per entry and one
-#: comparison instead of up to two during heap sifts.
-_PRIORITY_SHIFT = 56
-_SEQ_MASK = (1 << _PRIORITY_SHIFT) - 1
-_NORMAL_BASE = NORMAL << _PRIORITY_SHIFT
+#: Decodes the sequence number from a packed agenda key (see
+#: :data:`~repro.sim.events.PRIORITY_SHIFT`).
+_SEQ_MASK = (1 << PRIORITY_SHIFT) - 1
 
 #: Maximum nesting depth of direct handoffs (see
 #: :meth:`Environment.handoff`).  Each handoff dispatches its waiters on
@@ -117,9 +112,9 @@ class Environment:
     agenda of triggered events ordered by ``(time, priority, sequence)``
     — stored as ``(time, packed_key, event)`` heap entries, where the
     packed key folds priority and sequence into one integer (see
-    ``_PRIORITY_SHIFT``).  Processing an event runs its callbacks, which
-    typically resume waiting processes, which trigger further events,
-    and so on.
+    :data:`~repro.sim.events.PRIORITY_SHIFT`).  Processing an event runs
+    its callbacks, which typically resume waiting processes, which
+    trigger further events, and so on.
 
     Determinism: the monotone sequence number guarantees FIFO processing
     of same-time, same-priority events, so repeated runs of the same
@@ -213,7 +208,7 @@ class Environment:
             event._value = value
             event._defused = False
             heappush(self._queue,
-                     (self._now + delay, _NORMAL_BASE | next(self._seq),
+                     (self._now + delay, NORMAL_KEY | next(self._seq),
                       event))
             return event
         return Timeout(self, delay, value)
@@ -251,14 +246,25 @@ class Environment:
     def schedule(self, event, priority=NORMAL, delay=0.0):
         """Place a triggered ``event`` on the agenda after ``delay``.
 
+        The public arming call, for cold paths: process failure,
+        interrupts and tests.  The hot triggers (``succeed``/``fail``,
+        new and pooled ``Timeout``/``Initialize``, :meth:`handoff`'s
+        fallback and the CPU's slice timer) push the entry this builds
+        themselves, without the call.  A NaN delay would poison the heap
+        order and a negative one would move the clock backwards, so both
+        raise, as does a priority other than ``URGENT``/``NORMAL``.
+
         Deliberately unhooked: the kernel profiler derives push counts
         from the heap identity (every push is eventually popped or
-        still queued) and samples agenda depth at timed steps, so the
-        scheduling fast path costs the same profiled or not.
+        still queued) and samples agenda depth at timed steps.
         """
+        if not delay >= 0:  # NaN fails this comparison too
+            raise ValueError(f"invalid delay {delay}")
+        if priority not in (URGENT, NORMAL):
+            raise ValueError(f"invalid priority {priority!r}")
         heappush(self._queue,
                  (self._now + delay,
-                  (priority << _PRIORITY_SHIFT) | next(self._seq), event))
+                  (priority << PRIORITY_SHIFT) | next(self._seq), event))
 
     def handoff(self, event, value=None):
         """Succeed ``event``; run its callbacks now if ordering permits.
@@ -323,7 +329,7 @@ class Environment:
                 self._handoff_depth -= 1
             return event
         heappush(queue,
-                 (self._now, _NORMAL_BASE | next(self._seq), event))
+                 (self._now, NORMAL_KEY | next(self._seq), event))
         return event
 
     def _recycle(self, event):

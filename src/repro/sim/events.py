@@ -13,6 +13,8 @@ generator returns, so processes can wait for each other.
 
 from __future__ import annotations
 
+from heapq import heappush
+
 from repro.sim.exceptions import SimulationError, StopProcess
 
 #: Scheduling priority for events that must run before same-time normal
@@ -20,6 +22,19 @@ from repro.sim.exceptions import SimulationError, StopProcess
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
+
+#: Agenda entries are ``(time, key, event)`` heap tuples whose integer
+#: key packs ``(priority << PRIORITY_SHIFT) | seq``.  With priorities
+#: limited to URGENT (0) and NORMAL (1) and the monotone sequence far
+#: below 2**56 for any feasible run, integer comparison of the packed
+#: key is exactly the lexicographic comparison of a ``(priority, seq)``
+#: tuple tail — same total order, one less tuple slot per entry and one
+#: comparison instead of up to two during heap sifts.
+PRIORITY_SHIFT = 56
+#: A NORMAL entry's key is ``NORMAL_KEY | seq``; an URGENT entry's key
+#: is the bare sequence number.  Hot triggers push their entry with
+#: these directly; :meth:`Environment.schedule` builds the same entry.
+NORMAL_KEY = NORMAL << PRIORITY_SHIFT
 
 #: Sentinel for "event has not been triggered yet".
 PENDING = object()
@@ -84,13 +99,18 @@ class Event:
         self._defused = True
 
     # -- triggering ----------------------------------------------------
+    # The triggers below push their agenda entry themselves instead of
+    # calling ``Environment.schedule``: the entry is the one ``schedule``
+    # builds (``+ 0.0`` is its default delay), without a call per event.
     def succeed(self, value=None):
         """Trigger the event successfully with ``value``."""
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        self.env.schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now + 0.0, NORMAL_KEY | next(env._seq),
+                              self))
         return self
 
     def fail(self, exception):
@@ -101,7 +121,9 @@ class Event:
             raise TypeError(f"{exception!r} is not an exception")
         self._ok = False
         self._value = exception
-        self.env.schedule(self)
+        env = self.env
+        heappush(env._queue, (env._now + 0.0, NORMAL_KEY | next(env._seq),
+                              self))
         return self
 
     def trigger(self, event):
@@ -145,7 +167,8 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        env.schedule(self, delay=delay)
+        heappush(env._queue, (env._now + delay, NORMAL_KEY | next(env._seq),
+                              self))
 
     def __repr__(self):
         return f"<Timeout({self.delay}) at {id(self):#x}>"
@@ -166,7 +189,8 @@ class Initialize(Event):
         self.callbacks = [callback]
         self._ok = True
         self._value = None
-        env.schedule(self, priority=URGENT)
+        # URGENT: the key is the bare sequence number.
+        heappush(env._queue, (env._now + 0.0, next(env._seq), self))
 
 
 class Interrupt(Exception):

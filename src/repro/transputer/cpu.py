@@ -31,9 +31,11 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappush
 from math import inf
 
-from repro.sim import NORMAL, Event
+from repro.sim import Event
+from repro.sim.events import NORMAL_KEY
 
 #: Priority levels (match the two hardware ready queues).
 HIGH = 0
@@ -97,8 +99,11 @@ class CpuStats:
 
 
 class _SliceTimer(Event):
-    """A CPU's private timer, re-armed with :meth:`Environment.schedule`.
+    """A CPU's private timer, re-armed by pushing its own agenda entry.
 
+    Each arm pushes ``(now + delay, NORMAL_KEY | seq, timer)`` straight
+    onto the environment's agenda: exactly the entry
+    :meth:`Environment.schedule` would build, without the call.
     Deliberately not a :class:`~repro.sim.events.Timeout`: the event
     loop pools only exact Timeouts, and a timer abandoned by an
     interrupt must be freed once its stale agenda entry pops, not join
@@ -118,8 +123,8 @@ class Cpu:
 
     Dispatch is a callback state machine around one private
     :class:`_SliceTimer`, armed for at most one thing at a time: the
-    idle wakeup, the context-switch overhead, or the slice.  Arming
-    goes through :meth:`Environment.schedule`, so each agenda entry
+    idle wakeup, the context-switch overhead, or the slice.  Each arm
+    pushes the entry :meth:`Environment.schedule` would build, so it
     gets the time and sequence number a freshly created Timeout (or a
     succeeded wakeup Event) would get at that point; reusing the timer
     is invisible to the trajectory.
@@ -156,7 +161,10 @@ class Cpu:
         self._interrupt_requested = False
         self._slice_start = 0.0
         self._slice_len = 0.0
-        self._schedule = env.schedule
+        # The agenda heap and its sequence counter, never rebound for
+        # the life of an environment: the timer's arms push onto them.
+        self._agenda = env._queue
+        self._seq = env._seq
         self._timer = _SliceTimer(env)
         # One callback list per continuation, built once: the event loop
         # only reads a popped event's list, and nothing but this CPU
@@ -271,7 +279,8 @@ class Cpu:
             self._idle = False
             timer = self._timer
             timer.callbacks = self._wakeup_cbs
-            self._schedule(timer, NORMAL, 0.0)
+            heappush(self._agenda, (self.env._now + 0.0,
+                                    NORMAL_KEY | next(self._seq), timer))
             return
         # A high arrival preempts a running low slice immediately; a low
         # arrival only matters if the current slice was extended past its
@@ -299,7 +308,8 @@ class Cpu:
         if self._overhead > 0:
             timer = self._timer
             timer.callbacks = self._overhead_cbs
-            self._schedule(timer, NORMAL, self._overhead)
+            heappush(self._agenda, (self.env._now + self._overhead,
+                                    NORMAL_KEY | next(self._seq), timer))
         else:
             self._cb_overhead()
 
@@ -340,7 +350,8 @@ class Cpu:
         stats.dispatches += 1
         self._slice_start = now
         self._slice_len = slice_len
-        self._schedule(timer, NORMAL, slice_len)
+        heappush(self._agenda,
+                 (now + slice_len, NORMAL_KEY | next(self._seq), timer))
 
     def _cb_high_end(self, _event):
         req = self._running
@@ -411,7 +422,8 @@ class Cpu:
         if self._overhead > 0:
             timer = self._timer
             timer.callbacks = self._overhead_cbs
-            self._schedule(timer, NORMAL, self._overhead)
+            heappush(self._agenda, (now + self._overhead,
+                                    NORMAL_KEY | next(self._seq), timer))
         else:
             self._cb_overhead()
 

@@ -1,17 +1,21 @@
 """Regression coverage for the kernel fast path.
 
 The hot-path speed pass (packed agenda keys, pooled Timeout/Initialize
-events, lazy resource tombstones, callback-based packet walkers) must be
+events, lazy resource tombstones, callback-based packet walkers, agenda
+entries pushed without a call to ``Environment.schedule``) must be
 *observably free*: every test here pins behaviour that the optimisations
-could plausibly have changed — agenda ordering, event-object lifecycle,
-eviction choices — and the equivalence tests assert that a full model
-run serialises byte-identically with pooling on and off.
+could plausibly have changed — agenda ordering and entry contents,
+event-object lifecycle, eviction choices — and the equivalence tests
+assert that a full model run serialises byte-identically with pooling on
+and off.
 """
 
 import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Environment,
@@ -22,6 +26,10 @@ from repro.sim import (
     Timeout,
     set_event_pooling,
 )
+from repro.sim.environment import _SEQ_MASK
+from repro.sim.events import NORMAL, URGENT, Initialize
+from repro.transputer import TransputerConfig
+from repro.transputer.cpu import HIGH, LOW, Cpu
 
 
 @pytest.fixture
@@ -47,8 +55,6 @@ def test_same_time_same_priority_events_fire_in_schedule_order():
 
 
 def test_urgent_beats_normal_at_the_same_time_regardless_of_seq():
-    from repro.sim.events import NORMAL, URGENT
-
     env = Environment()
     fired = []
     normal = env.event()
@@ -198,6 +204,222 @@ def test_preemption_victim_is_latest_arrival_on_grant_time_tie():
     assert ("late", "evicted", 7) in log     # later arrival loses
     assert ("urgent", "got", 7) in log
     assert not any(e == ("early", "evicted", 7) for e in log)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"delay": float("nan")}, "invalid delay nan"),
+    ({"delay": -1e-9}, "invalid delay -1e-09"),
+    ({"priority": 2}, "invalid priority 2"),
+    ({"priority": -1}, "invalid priority -1"),
+])
+def test_schedule_rejects_bad_delay_and_priority(kwargs, match):
+    """A NaN delay used to poison the heap order, a negative one moved
+    the clock backwards, and any priority packed silently into the
+    key; now each raises before anything is pushed."""
+    env = Environment()
+    event = env.event()
+    event._ok, event._value = True, None
+    with pytest.raises(ValueError, match=match):
+        env.schedule(event, **kwargs)
+    assert env._queue == []
+
+
+# -- agenda entries pushed without a call --------------------------------
+# Every hot trigger pushes its own agenda entry.  The contract: the entry
+# is exactly the one ``Environment.schedule`` builds, i.e.
+# ``(now + delay, (priority << 56) | seq, event)``, drawing one sequence
+# number at the point of the trigger.
+def _reference_entry(env, event, priority, delay, seq):
+    """The entry ``schedule(event, priority, delay)`` builds."""
+    return (env._now + delay, (priority << 56) | seq, event)
+
+
+def _armed(env, trigger):
+    """Run ``trigger``; return its result, the one agenda entry it
+    pushed and the sequence number that entry must carry, checking that
+    exactly one sequence number was drawn."""
+    seq = next(env._seq) + 1
+    keys = {key for _, key, _ in env._queue}
+    result = trigger()
+    (entry,) = [e for e in env._queue if e[1] not in keys]
+    assert next(env._seq) == seq + 1
+    assert type(entry[0]) is float
+    return result, entry, seq
+
+
+def _clock_at(t):
+    """An environment whose clock has advanced to ``t``."""
+    env = Environment()
+    env.run(until=t)
+    return env
+
+
+def test_succeed_and_fail_push_the_schedule_entry():
+    env = _clock_at(1.25)
+    event, entry, seq = _armed(env, lambda: env.event().succeed("v"))
+    assert entry == _reference_entry(env, event, NORMAL, 0.0, seq)
+    event, entry, seq = _armed(env, lambda: env.event().fail(KeyError()))
+    assert entry == _reference_entry(env, event, NORMAL, 0.0, seq)
+    event.defuse()
+
+
+def test_fresh_and_pooled_timeouts_push_the_schedule_entry(
+        pooling_restored):
+    env = _clock_at(1.25)
+    assert not env._free_timeouts
+    event, entry, seq = _armed(env, lambda: env.timeout(0.375))
+    assert entry == _reference_entry(env, event, NORMAL, 0.375, seq)
+    event, entry, seq = _armed(env, lambda: Timeout(env, 0.5))
+    assert entry == _reference_entry(env, event, NORMAL, 0.5, seq)
+    del event, entry
+    env.run_all()
+    assert env._free_timeouts
+    recycled = env._free_timeouts[-1]
+    event, entry, seq = _armed(env, lambda: env.timeout(0.125))
+    assert event is recycled
+    assert entry == _reference_entry(env, event, NORMAL, 0.125, seq)
+
+
+def test_fresh_and_pooled_initialize_push_the_schedule_entry(
+        pooling_restored):
+    env = _clock_at(1.25)
+    assert not env._free_inits
+    event, entry, seq = _armed(env, lambda: env.kick(lambda e: None))
+    assert type(event) is Initialize
+    assert entry == _reference_entry(env, event, URGENT, 0.0, seq)
+    del event, entry
+    env.run_all()
+    assert env._free_inits
+    recycled = env._free_inits[-1]
+    event, entry, seq = _armed(env, lambda: env.kick(lambda e: None))
+    assert event is recycled
+    assert entry == _reference_entry(env, event, URGENT, 0.0, seq)
+
+
+def test_handoff_fallback_pushes_the_schedule_entry():
+    env = _clock_at(1.25)
+    # No waiter to hand the event to: it must take the agenda.
+    event, entry, seq = _armed(env, lambda: env.handoff(env.event(), 7))
+    assert entry == _reference_entry(env, event, NORMAL, 0.0, seq)
+    # A waiter, but a same-time entry is already queued ahead of it.
+    waited = env.event()
+    waited.callbacks.append(lambda e: None)
+    event, entry, seq = _armed(env, lambda: env.handoff(waited, 8))
+    assert event is waited
+    assert entry == _reference_entry(env, event, NORMAL, 0.0, seq)
+
+
+def test_cpu_wakeup_switch_and_slice_arms_push_the_schedule_entry():
+    env = _clock_at(1.25)
+    config = TransputerConfig()
+    cpu = Cpu(env, config, node_id=0)
+    env.run_all()  # boot: the CPU finds no work and goes idle
+    timer = cpu._timer
+    # Wakeup: an arrival at an idle CPU arms the timer with no delay.
+    _, entry, seq = _armed(env, lambda: cpu.execute(0.005, LOW))
+    cpu.execute(0.005, LOW)
+    assert entry == _reference_entry(env, timer, NORMAL, 0.0, seq)
+    # Switch after a dispatch: the wakeup pops and the CPU pays the
+    # context switch before the first slice.
+    _, entry, seq = _armed(env, env.step)
+    assert entry == _reference_entry(
+        env, timer, NORMAL, config.context_switch_overhead, seq)
+    # Slice: one quantum, since another request is waiting.
+    _, entry, seq = _armed(env, env.step)
+    assert cpu._slice_len == config.quantum
+    assert entry == _reference_entry(env, timer, NORMAL, config.quantum,
+                                     seq)
+    # Switch after a requeue: the quantum expires, the request goes to
+    # the back of the queue and the next one pays the switch.
+    _, entry, seq = _armed(env, env.step)
+    assert entry == _reference_entry(
+        env, timer, NORMAL, config.context_switch_overhead, seq)
+
+
+# A random interleaving of every trigger above, each checked against the
+# reference formula: the agenda entries one trigger (or one step of the
+# event loop) pushes must carry the next sequence numbers, in order, and
+# equal ``_reference_entry`` with the priority and delay the event
+# stands for.
+_KERNEL_OPS = st.one_of(
+    st.tuples(st.just("succeed")),
+    st.tuples(st.just("fail")),
+    st.tuples(st.just("timeout"),
+              st.sampled_from([0.0, 2.5e-5, 0.002]) | st.floats(0.0, 0.004)),
+    st.tuples(st.just("kick")),
+    st.tuples(st.just("handoff"), st.booleans()),
+)
+_CPU_OPS = st.one_of(
+    st.tuples(st.just("execute"), st.sampled_from([0.0, 1e-4, 0.003]),
+              st.sampled_from([HIGH, LOW, LOW])),
+    # Step the event loop through everything due within ``dt``.
+    st.tuples(st.just("advance"), st.floats(0.0, 0.004)),
+)
+_OPS = _KERNEL_OPS | _CPU_OPS
+
+
+def _expected_delay(cpu, event):
+    if event is cpu._timer:
+        if event.callbacks is cpu._wakeup_cbs:
+            return 0.0
+        if event.callbacks is cpu._overhead_cbs:
+            return cpu._overhead
+        return cpu._slice_len
+    if type(event) is Timeout:
+        return event.delay
+    return 0.0
+
+
+def _trigger(env, cpu, op):
+    kind = op[0]
+    if kind == "succeed":
+        env.event().succeed(kind)
+    elif kind == "fail":
+        env.event().fail(KeyError(kind)).defuse()
+    elif kind == "timeout":
+        env.timeout(op[1])
+    elif kind == "kick":
+        env.kick(lambda e: None)
+    elif kind == "handoff":
+        event = env.event()
+        if op[1]:
+            event.callbacks.append(lambda e: None)
+        env.handoff(event, kind)
+    else:
+        cpu.execute(op[1], op[2])
+
+
+@given(ops=st.lists(_OPS, max_size=40))
+@settings(max_examples=150, deadline=None)
+def test_property_interleaved_triggers_push_the_schedule_entries(ops):
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    next_seq = 1  # the CPU's boot kick drew sequence number 0
+
+    def check(action):
+        nonlocal next_seq
+        keys = {key for _, key, _ in env._queue}
+        action()
+        pushed = sorted((e for e in env._queue if e[1] not in keys),
+                        key=lambda e: e[1] & _SEQ_MASK)
+        for entry in pushed:
+            event = entry[2]
+            priority = URGENT if type(event) is Initialize else NORMAL
+            assert type(entry[0]) is float
+            assert entry == _reference_entry(
+                env, event, priority, _expected_delay(cpu, event),
+                next_seq)
+            next_seq += 1
+
+    for op in ops:
+        if op[0] == "advance":
+            until = env._now + op[1]
+            while env._queue and env._queue[0][0] <= until:
+                check(env.step)
+        else:
+            check(lambda: _trigger(env, cpu, op))
+    # No sequence number was drawn without an entry to show for it.
+    assert next(env._seq) == next_seq
 
 
 # -- resource tombstones --------------------------------------------------

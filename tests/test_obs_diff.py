@@ -2,6 +2,7 @@
 cell alignment, bucket localisation, and the gate exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -292,6 +293,112 @@ def test_counter_deltas_from_metrics_snapshots():
     assert [d["name"] for d in result.counters] == ["net.messages"]
     assert result.counters[0]["delta"] == 50
     assert result.counters[0]["rel"] == pytest.approx(0.5)
+
+
+# -- the gate fails on any simulated drift ---------------------------------
+BASELINE = str(Path(__file__).resolve().parents[1]
+               / "results" / "BENCH_baseline.json")
+
+
+def _edited_baseline(tmp_path, edit):
+    """The checked-in baseline after ``edit(doc)``, written to a file."""
+    doc = json.loads(Path(BASELINE).read_text())
+    edit(doc)
+    path = tmp_path / "BENCH_candidate.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _drifted_baseline(tmp_path, change):
+    """The checked-in baseline with every figure's mean RTs mapped
+    through ``change`` (wall-clock and calibration untouched)."""
+    def edit(doc):
+        for scenario in doc["scenarios"]:
+            scenario["mean_rt"] = {policy: change(rt) for policy, rt
+                                   in scenario["mean_rt"].items()}
+
+    return _edited_baseline(tmp_path, edit)
+
+
+def test_gate_fails_on_ten_percent_mean_rt_drift(tmp_path, capsys):
+    from repro.experiments.cli import main as cli_main
+
+    candidate = _drifted_baseline(tmp_path, lambda rt: rt * 1.1)
+    assert cli_main(["diff", BASELINE, candidate,
+                     "--fail-on-regression"]) == EXIT_REGRESSION
+    out = capsys.readouterr().out
+    assert "verdict: REGRESSED" in out
+    assert "8 mean-RT drift" in out
+
+
+def test_gate_fails_on_one_ulp_mean_rt_drift(tmp_path, capsys):
+    import math
+
+    from repro.experiments.cli import main as cli_main
+
+    candidate = _drifted_baseline(
+        tmp_path, lambda rt: math.nextafter(rt, math.inf))
+    assert cli_main(["diff", BASELINE, candidate,
+                     "--fail-on-regression"]) == EXIT_REGRESSION
+    assert "verdict: REGRESSED" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("missing", ["figure", "policy"])
+def test_gate_fails_when_the_candidate_drops_a_result(tmp_path, capsys,
+                                                      missing):
+    from repro.experiments.cli import main as cli_main
+
+    def edit(doc):
+        if missing == "figure":
+            del doc["scenarios"][-1]
+        else:
+            doc["scenarios"][0]["mean_rt"].popitem()
+
+    candidate = _edited_baseline(tmp_path, edit)
+    assert cli_main(["diff", BASELINE, candidate,
+                     "--fail-on-regression"]) == EXIT_REGRESSION
+    out = capsys.readouterr().out
+    assert "missing from the candidate" in out
+    assert "1 mean-RT drift" in out
+
+
+def test_gate_passes_identical_bench_documents(tmp_path, capsys):
+    from repro.experiments.cli import main as cli_main
+
+    candidate = _drifted_baseline(tmp_path, lambda rt: rt)
+    assert cli_main(["diff", BASELINE, candidate,
+                     "--fail-on-regression"]) == EXIT_OK
+    assert "verdict: OK" in capsys.readouterr().out
+
+
+def test_mean_rt_drift_across_scales_is_not_gated():
+    def bench(rt, scale):
+        s = {"figure": 4, "title": "t", "cells": 4, "wall_s": 1.0,
+             "events": 100, "events_per_sec": 100.0,
+             "mean_rt": {"static": rt}}
+        return bench_document([s], scale_name=scale, date="2026-08-06")
+
+    result = diff_runs(bundle(bench=bench(0.5, "smoke")),
+                       bundle(bench=bench(0.6, "paper")))
+    assert not result.drifted
+    assert result.exit_code(fail_on_regression=True) == EXIT_OK
+
+
+def test_counter_drift_gates_only_with_metrics_on_both_sides():
+    def metrics(msgs):
+        return {"schema": "repro-metrics/1", "cells": [], "combined": {
+            "net.messages": {"type": "counter", "value": msgs}}}
+
+    drifted = diff_runs(bundle(metrics=metrics(100)),
+                        bundle(metrics=metrics(101)))
+    assert drifted.drifted and drifted.regressed
+    assert drifted.exit_code(fail_on_regression=True) == EXIT_REGRESSION
+    assert "1 counter drift" in format_diff_report(drifted)
+    same = diff_runs(bundle(metrics=metrics(100)),
+                     bundle(metrics=metrics(100)))
+    assert same.exit_code(fail_on_regression=True) == EXIT_OK
+    one_sided = diff_runs(bundle(), bundle(metrics=metrics(101)))
+    assert one_sided.exit_code(fail_on_regression=True) == EXIT_OK
 
 
 def test_diff_to_dict_round_trips_as_json():
