@@ -260,4 +260,4 @@ class SuperScheduler:
 
     def __repr__(self):
         return (f"<SuperScheduler queued={len(self.ready_queue)} "
-                f"done={self._completed}/{len(self.jobs)}>")
+                f"done={self._completed}/{self._submitted}>")

@@ -26,44 +26,25 @@ Use :func:`run_figure` / :func:`run_ablation` from Python, or the CLI::
     python -m repro.experiments --ablation variance
 """
 
-from repro.experiments.config import (
-    DEFAULT_PARTITION_SIZES,
-    DEFAULT_TOPOLOGIES,
-    ExperimentScale,
-    FigureSpec,
-    figure_spec,
-)
-from repro.experiments.parallel import (
-    CellError,
-    GridExecutionError,
-    merged_metrics,
-    resolve_jobs,
-    run_cells_parallel,
-    run_figure_parallel,
-)
-from repro.experiments.runner import (
-    GridCell,
-    averaged_static_metrics,
-    enumerate_cells,
-    run_cell,
-    run_figure,
-    run_static_averaged,
-)
-from repro.experiments.report import (
-    format_grid,
-    format_telemetry_summary,
-    grid_to_csv,
-    telemetry_policy_rows,
-)
-from repro.experiments.serialization import (
-    config_from_dict,
-    config_to_dict,
-    load_results,
-    result_to_dict,
-    save_results,
-)
-from repro.experiments.speedup import crossover_partition_size, speedup_curve
-from repro.experiments import ablations
+from repro import _lazy_exports
+
+# Public names resolve on first use, so a figure run never pays for the
+# process pool (parallel) or numpy (ablations) it does not touch.
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "config": ("DEFAULT_PARTITION_SIZES", "DEFAULT_TOPOLOGIES",
+               "ExperimentScale", "FigureSpec", "figure_spec"),
+    "parallel": ("CellError", "GridExecutionError", "merged_metrics",
+                 "resolve_jobs", "run_cells_parallel",
+                 "run_figure_parallel"),
+    "runner": ("GridCell", "averaged_static_metrics", "enumerate_cells",
+               "run_cell", "run_figure", "run_static_averaged"),
+    "report": ("format_grid", "format_telemetry_summary", "grid_to_csv",
+               "telemetry_policy_rows"),
+    "serialization": ("config_from_dict", "config_to_dict", "load_results",
+                      "result_to_dict", "save_results"),
+    "speedup": ("crossover_partition_size", "speedup_curve"),
+    "ablations": ("ablations",),
+})
 
 __all__ = [
     "CellError",

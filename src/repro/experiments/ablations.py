@@ -6,8 +6,6 @@ Each function returns ``(rows, columns)`` ready for
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.core import (
     GangScheduling,
     HybridPolicy,
@@ -40,6 +38,8 @@ def variance_crossover(cvs=(0.0, 0.5, 1.0, 2.0, 4.0), mean_ops=1.0e6,
     behind a monopolising large job is FCFS's failure mode, and
     round-robin sharing is its cure.
     """
+    import numpy as np  # only this ablation draws random demands
+
     rows = []
     rng = np.random.default_rng(seed)
     for cv in cvs:

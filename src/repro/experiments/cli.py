@@ -28,7 +28,6 @@ import json
 import sys
 import time
 
-from repro.experiments.ablations import ALL_ABLATIONS
 from repro.experiments.config import ExperimentScale, figure_spec
 from repro.experiments.report import (
     format_ablation,
@@ -37,12 +36,16 @@ from repro.experiments.report import (
     format_telemetry_summary,
     grid_to_csv,
 )
-from repro.experiments.parallel import resolve_jobs, run_figure_parallel
-from repro.experiments.runner import run_figure
-from repro.obs import kernelprof
+
+# Only the two modules above load with the CLI.  Each handler imports
+# the rest of what its run uses, so a figure run never loads numpy, the
+# process pool or a recorder it does not enable.
 
 
 def _parse_args(argv):
+    from repro.experiments.ablations import ALL_ABLATIONS
+    from repro.obs.kernelprof import DEFAULT_SAMPLE_EVERY
+
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the figures and ablations of Chan, "
@@ -124,11 +127,11 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--sample-every", type=int,
-        default=kernelprof.DEFAULT_SAMPLE_EVERY, metavar="N",
+        default=DEFAULT_SAMPLE_EVERY, metavar="N",
         help="(hotspots) read host clocks on roughly one event in N — "
              "step timing and callback timing each get a ~1-in-N "
              "stream with randomised gaps (default "
-             f"{kernelprof.DEFAULT_SAMPLE_EVERY}; smaller = finer "
+             f"{DEFAULT_SAMPLE_EVERY}; smaller = finer "
              "attribution, more overhead)",
     )
     parser.add_argument(
@@ -269,6 +272,9 @@ def _parse_args(argv):
         parser.error(f"unexpected positional arguments {args.paths}")
     if args.command == "hotspots" and args.sample_every < 1:
         parser.error("--sample-every must be >= 1")
+    if args.ablation not in (None, "all", *ALL_ABLATIONS):
+        parser.error(f"unknown ablation {args.ablation!r}; choose from "
+                     f"{sorted(ALL_ABLATIONS)} or 'all'")
     if args.command not in ("diff", "steady", "hotspots", "decisions") \
             and not (args.figure or args.ablation or args.sensitivity
                      or args.topologies or args.validate):
@@ -286,18 +292,18 @@ def _sweep_observer(args):
     behaviour.  The heartbeat defaults to "on when stderr is a
     terminal" and writes only to stderr, never stdout.
     """
+    heartbeat = args.heartbeat
+    if heartbeat is None:
+        heartbeat = sys.stderr.isatty()
+    if not (args.sweep_log or heartbeat):
+        return None
     from repro.obs.sweeplog import Heartbeat, MultiObserver, SweepLog
 
     observers = []
     if args.sweep_log:
         observers.append(SweepLog(args.sweep_log))
-    heartbeat = args.heartbeat
-    if heartbeat is None:
-        heartbeat = sys.stderr.isatty()
     if heartbeat:
         observers.append(Heartbeat())
-    if not observers:
-        return None
     return observers[0] if len(observers) == 1 else MultiObserver(observers)
 
 
@@ -316,6 +322,8 @@ def _artifact(out, path, schema, detail=""):
 
 def _run_figures(args, out=None):
     """Run the selected figures; returns the number of failed cells."""
+    from repro.experiments.parallel import resolve_jobs
+
     out = out or sys.stdout
     scale = (ExperimentScale.paper() if args.scale == "paper"
              else ExperimentScale.smoke())
@@ -337,6 +345,9 @@ def _run_figures(args, out=None):
 
 def _run_figure_sweep(args, numbers, scale, jobs, observer,
                       telemetry_wanted, profiling, out):
+    from repro.experiments.parallel import run_figure_parallel
+    from repro.experiments.runner import run_figure
+
     all_cells = []
     all_telemetry = []  # (figure, label, policy, Telemetry)
     all_errors = []
@@ -566,6 +577,7 @@ def _run_hotspots(args, out=None):
     for speedscope/FlameGraph.  Returns the process exit code.
     """
     out = out or sys.stdout
+    from repro.experiments.runner import run_figure
     from repro.obs.kernelprof import (
         format_kernelprof,
         kernel_collapsed_lines,
@@ -618,6 +630,7 @@ def _run_decisions(args, out=None):
     Returns the process exit code (2 when a linkage check fails).
     """
     out = out or sys.stdout
+    from repro.experiments.runner import run_figure
     from repro.obs import (
         DecisionsLog,
         check_decomposition,
@@ -759,19 +772,14 @@ def _run_steady(args, out=None):
 
 
 def _run_ablations(args, out=None):
+    from repro.experiments.ablations import ALL_ABLATIONS
+
     out = out or sys.stdout
     names = (sorted(ALL_ABLATIONS) if args.ablation == "all"
              else [args.ablation])
     for name in names:
-        try:
-            fn = ALL_ABLATIONS[name]
-        except KeyError:
-            raise SystemExit(
-                f"unknown ablation {name!r}; choose from "
-                f"{sorted(ALL_ABLATIONS)}"
-            )
         start = time.time()
-        rows, columns = fn()
+        rows, columns = ALL_ABLATIONS[name]()
         print(format_ablation(rows, columns, title=f"=== Ablation: {name}"),
               file=out)
         print(f"  ({time.time() - start:.1f}s)", file=out)

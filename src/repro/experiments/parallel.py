@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from repro.experiments.runner import enumerate_cells, run_cell
@@ -141,6 +140,10 @@ def run_cells_parallel(tasks, scale, jobs=None, transputer=None,
     want_telemetry = telemetry_sink is not None
     own_pool = pool is None
     if own_pool:
+        # Imported here, not at module top: a serial sweep imports this
+        # module (for resolve_jobs) but must not load the pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         pool = ProcessPoolExecutor(max_workers=jobs)
     cells = []
     failures = []

@@ -27,6 +27,11 @@ from __future__ import annotations
 
 import io
 
+# Every entry point below draws from numpy and streams into the sink, so
+# both load with the module (a caller's set-up) rather than inside the
+# first cell it times.
+import numpy as np
+
 from repro.analysis import mmc_mean_response
 from repro.core import (
     MulticomputerSystem,
@@ -34,6 +39,7 @@ from repro.core import (
     SystemConfig,
     TimeSharing,
 )
+from repro.obs.streaming import SteadyStateSink
 from repro.workload import JobSpec, SyntheticForkJoin, bursty_arrivals, \
     poisson_arrivals
 
@@ -49,6 +55,16 @@ POLICIES = {
     "static": lambda: StaticSpaceSharing(1),
     "ts": TimeSharing,
 }
+
+
+def _policy_builder(policy_kind):
+    """The :data:`POLICIES` entry for ``policy_kind``, or a ``ValueError``."""
+    try:
+        return POLICIES[policy_kind]
+    except KeyError:
+        raise ValueError(
+            f"unknown policy {policy_kind!r}; choose from {sorted(POLICIES)}"
+        ) from None
 
 
 def _spec_factory(mean_ops):
@@ -75,16 +91,7 @@ def steady_cell(policy_kind, rate, duration, *, nodes=4, topology="mesh",
     carries per-window decision/deferral counts (O(1) memory — the sink
     snapshots the ledger's cumulative totals).
     """
-    import numpy as np
-
-    from repro.obs.streaming import SteadyStateSink
-
-    try:
-        build = POLICIES[policy_kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown policy {policy_kind!r}; choose from {sorted(POLICIES)}"
-        ) from None
+    build = _policy_builder(policy_kind)
     rng = np.random.default_rng(seed)
     factory = _spec_factory(mean_ops)
     arrivals = poisson_arrivals(rate, duration, factory, rng)
@@ -108,11 +115,7 @@ def steady_cell_bursty(policy_kind, rate, duration, *, nodes=4,
     scaled up by ``(mean_on + mean_off) / mean_on`` so the two arrival
     disciplines are comparable at equal offered load.
     """
-    import numpy as np
-
-    from repro.obs.streaming import SteadyStateSink
-
-    build = POLICIES[policy_kind]
+    build = _policy_builder(policy_kind)
     rng = np.random.default_rng(seed)
     factory = _spec_factory(mean_ops)
     peak = rate * (mean_on + mean_off) / mean_on

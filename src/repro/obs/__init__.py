@@ -18,101 +18,41 @@ Recording never creates simulation events, so telemetry cannot perturb
 simulated time.
 """
 
-from repro.obs.decisions import (
-    DecisionLedger,
-    DecisionsLog,
-    attach_ledger,
-    check_decomposition,
-    decision_table,
-    format_decision_table,
-    queued_decomposition,
-    read_decisions_log,
-)
-from repro.obs.diff import (
-    DiffResult,
-    RunBundle,
-    bootstrap_mean_delta,
-    diff_runs,
-    format_diff_report,
-    load_run_bundle,
-)
-from repro.obs.jsonl import jsonl_lines, jsonl_records, write_jsonl
-from repro.obs.metrics import (
-    DEFAULT_BOUNDARIES,
-    Counter,
-    FrozenGauge,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    log_boundaries,
-)
-from repro.obs.perfetto import (
-    node_pid,
-    pid_node,
-    to_perfetto,
-    write_perfetto,
-)
-from repro.obs.kernelprof import (
-    KernelProfiler,
-    format_kernelprof,
-    kernel_collapsed_lines,
-    kernel_profile,
-    load_kernelprof,
-    validate_kernelprof,
-    write_kernelprof,
-)
-from repro.obs.profile import (
-    BUCKETS,
-    CpSegment,
-    CriticalPath,
-    JobProfile,
-    Profile,
-    bucket_names,
-    collapsed_lines,
-    profile_events,
-    profile_run,
-    write_collapsed,
-    write_collapsed_lines,
-)
-from repro.obs.schemas import (
-    REGISTRY,
-    SchemaEntry,
-    check_schema,
-    load_document,
-    register_schema,
-    schema_ids,
-    sniff_schema,
-)
-from repro.obs.steadylog import SteadyLog, read_steady_log
-from repro.obs.streaming import (
-    BatchSeries,
-    OnlineStats,
-    OpenRunResult,
-    QuantileSketch,
-    STEADY_BOUNDARIES,
-    SteadyStateSink,
-    SteadyWindow,
-    batch_means_ci,
-    lag1_autocorrelation,
-    mser,
-    t_quantile_975,
-)
-from repro.obs.spans import (
-    JOB_PHASES,
-    Span,
-    job_spans,
-    process_spans,
-    register_phase,
-    slice_spans,
-)
-from repro.obs.sweeplog import (
-    Heartbeat,
-    MultiObserver,
-    SweepLog,
-    SweepObserver,
-    read_sweep_log,
-)
-from repro.obs.telemetry import Telemetry, attach
+from repro import _lazy_exports
+
+# Names resolve on first use, so a run loads only the recorders it
+# enables and a run that records nothing loads none of them.
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "decisions": ("DecisionLedger", "DecisionsLog", "attach_ledger",
+                  "check_decomposition", "decision_table",
+                  "format_decision_table", "queued_decomposition",
+                  "read_decisions_log"),
+    "diff": ("DiffResult", "RunBundle", "bootstrap_mean_delta", "diff_runs",
+             "format_diff_report", "load_run_bundle"),
+    "jsonl": ("jsonl_lines", "jsonl_records", "write_jsonl"),
+    "metrics": ("DEFAULT_BOUNDARIES", "Counter", "FrozenGauge", "Gauge",
+                "Histogram", "MetricsRegistry", "log_boundaries"),
+    "perfetto": ("node_pid", "pid_node", "to_perfetto", "write_perfetto"),
+    "kernelprof": ("KernelProfiler", "format_kernelprof",
+                   "kernel_collapsed_lines", "kernel_profile",
+                   "load_kernelprof", "validate_kernelprof",
+                   "write_kernelprof"),
+    "profile": ("BUCKETS", "CpSegment", "CriticalPath", "JobProfile",
+                "Profile", "bucket_names", "collapsed_lines", "profile_events",
+                "profile_run", "write_collapsed", "write_collapsed_lines"),
+    "schemas": ("REGISTRY", "SchemaEntry", "check_schema", "load_document",
+                "register_schema", "schema_ids", "sniff_schema"),
+    "steadylog": ("SteadyLog", "read_steady_log"),
+    "streaming": ("BatchSeries", "OnlineStats", "OpenRunResult",
+                  "QuantileSketch", "STEADY_BOUNDARIES", "SteadyStateSink",
+                  "SteadyWindow", "batch_means_ci", "lag1_autocorrelation",
+                  "mser", "t_quantile_975"),
+    "spans": ("JOB_PHASES", "Span", "job_spans", "process_spans",
+              "register_phase", "slice_spans"),
+    "sweeplog": ("Heartbeat", "MultiObserver", "SweepLog", "SweepObserver",
+                 "read_sweep_log"),
+    "telemetry": ("Telemetry", "attach"),
+})
 
 __all__ = [
     "BUCKETS",

@@ -7,10 +7,14 @@ job's wait and execution phases on a shared time axis, and
 horizontal bar chart (used for utilisation and response-time series).
 """
 
-from repro.trace.charts import render_bars, render_series
-from repro.trace.gantt import render_gantt
-from repro.trace.recorder import TraceEvent, TraceRecorder
-from repro.trace.timeline import render_utilization, utilization_probes
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "charts": ("render_bars", "render_series"),
+    "gantt": ("render_gantt",),
+    "recorder": ("TraceEvent", "TraceRecorder"),
+    "timeline": ("render_utilization", "utilization_probes"),
+})
 
 __all__ = [
     "TraceEvent",

@@ -178,6 +178,17 @@ def test_cli_unknown_ablation():
         cli_main(["--ablation", "nonexistent"])
 
 
+def test_cli_unknown_ablation_rejected_before_other_work(capsys):
+    """A mistyped ablation fails at argument parsing (exit 2), before
+    the validation report or any figure runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--validate", "--ablation", "typo"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown ablation 'typo'" in captured.err
+
+
 def test_cli_jobs_parallel_produces_identical_csv(tmp_path):
     serial_csv = tmp_path / "serial.csv"
     parallel_csv = tmp_path / "parallel.csv"
@@ -193,10 +204,10 @@ def test_cli_partial_failure_summarised_and_nonzero(capsys, monkeypatch):
     structured error summary, even though some cells succeeded.
 
     Regression: a partial success used to read as a clean run."""
-    import repro.experiments.cli as cli_mod
+    import repro.experiments.parallel as parallel_mod
     from repro.experiments.parallel import CellError
 
-    real = cli_mod.run_figure_parallel
+    real = parallel_mod.run_figure_parallel
 
     def flaky(spec, scale, *, errors=None, **kwargs):
         cells = real(spec, scale, errors=errors, **kwargs)
@@ -207,7 +218,7 @@ def test_cli_partial_failure_summarised_and_nonzero(capsys, monkeypatch):
             error="RuntimeError('worker died')", attempts=2))
         return cells
 
-    monkeypatch.setattr(cli_mod, "run_figure_parallel", flaky)
+    monkeypatch.setattr(parallel_mod, "run_figure_parallel", flaky)
     assert cli_main(["--figure", "6", "--scale", "smoke",
                      "--jobs", "2", "--no-heartbeat"]) == 1
     out = capsys.readouterr().out
@@ -220,7 +231,7 @@ def test_cli_partial_failure_summarised_and_nonzero(capsys, monkeypatch):
 def test_cli_all_cells_failed_still_summarises(capsys, monkeypatch):
     """Total failure: no grid table, but the summary and exit code
     survive (format_grid used to crash on an empty cell list)."""
-    import repro.experiments.cli as cli_mod
+    import repro.experiments.parallel as parallel_mod
     from repro.experiments.parallel import CellError
 
     def broken(spec, scale, *, errors=None, **kwargs):
@@ -231,7 +242,7 @@ def test_cli_all_cells_failed_still_summarises(capsys, monkeypatch):
             error="RuntimeError('boom')", attempts=2))
         return []
 
-    monkeypatch.setattr(cli_mod, "run_figure_parallel", broken)
+    monkeypatch.setattr(parallel_mod, "run_figure_parallel", broken)
     assert cli_main(["--figure", "6", "--scale", "smoke",
                      "--jobs", "2", "--no-heartbeat"]) == 1
     out = capsys.readouterr().out

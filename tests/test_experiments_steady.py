@@ -31,6 +31,16 @@ def test_steady_cell_rejects_unknown_policy():
         steady_cell("fifo", rate=1.0, duration=5.0)
 
 
+@pytest.mark.parametrize("entry", [steady_cell, steady_cell_bursty])
+def test_steady_entry_points_share_policy_lookup(entry):
+    """Both entry points name the choices in a ``ValueError``; the
+    bursty one used to leak a bare ``KeyError``."""
+    with pytest.raises(ValueError,
+                       match=r"unknown policy 'nope'; choose from "
+                             r"\['static', 'ts'\]"):
+        entry("nope", rate=1.0, duration=5.0)
+
+
 def test_steady_cell_bursty_runs():
     result = steady_cell_bursty("ts", rate=3.0, duration=30.0, nodes=4,
                                 seed=3, mean_on=1.0, mean_off=1.0)

@@ -306,6 +306,19 @@ def test_run_open_collect_false_retains_no_jobs():
         assert part.scheduler.completed_jobs == []
 
 
+def test_super_scheduler_repr_counts_streamed_jobs():
+    """A streaming run keeps no job list, so the repr's denominator is
+    the submission count (it used to read ``done=N/0``)."""
+    rng = np.random.default_rng(12)
+    system = MulticomputerSystem(_open_config(), TimeSharing())
+    result = system.run_open(
+        poisson_arrivals(6.0, 30.0, _exp_factory, rng), collect_jobs=False)
+    done = result.jobs_completed
+    assert done > 0
+    assert repr(system.super_scheduler) == (
+        f"<SuperScheduler queued=0 done={done}/{done}>")
+
+
 def test_run_open_windows_partition_the_run():
     rng = np.random.default_rng(13)
     sink = SteadyStateSink(window=4.0)
