@@ -35,6 +35,10 @@ from repro.transputer.cpu import HIGH
 from repro.transputer.link import Link
 from repro.transputer.memory import BufferPool
 
+#: Detail keys of the network probe's trace records.
+_TRANSFER_KEYS = ("dur", "node", "dst", "nbytes", "wait")
+_MSG_KEYS = ("dur", "src", "dst", "src_proc", "dst_proc", "job", "nbytes")
+
 
 @dataclass
 class NetworkStats:
@@ -219,8 +223,8 @@ class _NetworkProbe:
         wait = link.backlog
         service = link.startup + nbytes / link.bandwidth
         self.append(self.env._now + wait, "link.transfer", track.subject,
-                    {"dur": service, "node": track.src, "dst": track.dst,
-                     "nbytes": nbytes, "wait": wait})
+                    _TRANSFER_KEYS, service, track.src, track.dst, nbytes,
+                    wait)
         metrics = self.metrics
         hops = self._packet_hops
         if hops is None:
@@ -250,10 +254,9 @@ class _NetworkProbe:
         # One interval per message for the causal profiler: which job
         # was in flight, between which of its processes.
         self.append(message.sent_at, "net.msg", f"msg{message.msg_id}",
-                    {"dur": latency, "src": message.src, "dst": message.dst,
-                     "src_proc": message.src_proc,
-                     "dst_proc": message.dst_proc, "job": message.job_id,
-                     "nbytes": message.nbytes})
+                    _MSG_KEYS, latency, message.src, message.dst,
+                    message.src_proc, message.dst_proc, message.job_id,
+                    message.nbytes)
 
 
 class _MessageWalker:

@@ -15,6 +15,10 @@ from collections import defaultdict
 
 from repro.transputer.cpu import LOW
 
+#: The decision ledger's counter keys for a burst's dispatch decision.
+_DEFAULT_QUANTUM = ("local", "dispatch", "default_quantum")
+_POLICY_QUANTUM = ("local", "dispatch", "policy_quantum")
+
 
 class LocalScheduler:
     """Per-node adapter between job processes and the hardware queues."""
@@ -56,14 +60,22 @@ class LocalScheduler:
         )
         probe = self._probe
         if probe is not None:
-            probe.burst(self.node.cpu, work_seconds, quantum)
+            if probe.ledger is not None:
+                # Counter tier, kept on the probe: one dispatch decision
+                # per submitted burst, classified by whether a policy
+                # quantum bounds it.
+                if quantum is None:
+                    probe.default_quantum += 1
+                else:
+                    probe.policy_quantum += 1
+            if probe.metrics is not None:
+                probe.burst(self.node.cpu, work_seconds)
         req.callbacks.append(self._account)
         return req
 
-    def _account(self, event):
+    def _account(self, req):
         # One bound method shared by every burst: the request carries the
         # job id as its ``tag``, so no per-dispatch closure is needed.
-        req = event._value
         self.job_cpu_time[req.tag] += req.cpu_time
         self.job_dispatches[req.tag] += 1
         self.total_cpu_time += req.cpu_time
@@ -94,9 +106,13 @@ class _LocalProbe:
 
     The backlog gauge's name is built once; instrument handles are bound
     on first use (a gauge's time average starts when it is created).
+    With the ledger on, the scheduler counts each burst's dispatch
+    decision in the two tally fields, which the ledger reads through
+    :meth:`ledger_counts`.
     """
 
-    __slots__ = ("metrics", "ledger", "backlog_name", "_bursts", "_backlog")
+    __slots__ = ("metrics", "ledger", "backlog_name", "_bursts", "_backlog",
+                 "default_quantum", "policy_quantum")
 
     def __init__(self, node_id, tel, led):
         self.metrics = tel.metrics if tel is not None else None
@@ -104,20 +120,20 @@ class _LocalProbe:
         self.backlog_name = f"cpu.backlog.node{node_id}"
         self._bursts = None
         self._backlog = None
-
-    def burst(self, cpu, work_seconds, quantum):
-        """A submitted burst: its dispatch decision, size and the CPU's
-        backlog after it."""
-        led = self.ledger
+        self.default_quantum = self.policy_quantum = 0
         if led is not None:
-            # Counter tier: one dispatch decision per submitted burst,
-            # classified by whether a policy quantum bounds it.
-            led.tally("local", "dispatch",
-                      "default_quantum" if quantum is None
-                      else "policy_quantum")
+            led.add_counter(self)
+
+    def ledger_counts(self):
+        """The dispatch decisions counted so far, keyed for the ledger."""
+        return ((_DEFAULT_QUANTUM, self.default_quantum),
+                (_POLICY_QUANTUM, self.policy_quantum))
+
+    def burst(self, cpu, work_seconds):
+        """A submitted burst: its size and the CPU's backlog after it
+        (telemetry only; the scheduler counts the ledger's dispatch
+        decision itself)."""
         metrics = self.metrics
-        if metrics is None:
-            return
         bursts = self._bursts
         if bursts is None:
             bursts = self._bursts = metrics.histogram("sched.burst_seconds")

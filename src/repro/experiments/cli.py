@@ -41,11 +41,18 @@ from repro.experiments.report import (
 # the rest of what its run uses, so a figure run never loads numpy, the
 # process pool or a recorder it does not enable.
 
+#: The ``--ablation`` names: the keys of
+#: ``repro.experiments.ablations.ALL_ABLATIONS``, spelled out so that
+#: parsing the command line (``--help`` included) loads no model.
+ABLATION_NAMES = ("discipline", "gang", "host", "memory", "placement",
+                  "quantum", "routing", "rrprocess", "treedist",
+                  "variance", "wormhole")
+
+#: ``--sample-every`` default: ``repro.obs.kernelprof.DEFAULT_SAMPLE_EVERY``.
+DEFAULT_SAMPLE_EVERY = 64
+
 
 def _parse_args(argv):
-    from repro.experiments.ablations import ALL_ABLATIONS
-    from repro.obs.kernelprof import DEFAULT_SAMPLE_EVERY
-
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description="Regenerate the figures and ablations of Chan, "
@@ -83,7 +90,7 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--ablation",
-        help=f"one of {sorted(ALL_ABLATIONS)}, or 'all'",
+        help=f"one of {list(ABLATION_NAMES)}, or 'all'",
         default=None,
     )
     parser.add_argument(
@@ -272,9 +279,9 @@ def _parse_args(argv):
         parser.error(f"unexpected positional arguments {args.paths}")
     if args.command == "hotspots" and args.sample_every < 1:
         parser.error("--sample-every must be >= 1")
-    if args.ablation not in (None, "all", *ALL_ABLATIONS):
+    if args.ablation not in (None, "all", *ABLATION_NAMES):
         parser.error(f"unknown ablation {args.ablation!r}; choose from "
-                     f"{sorted(ALL_ABLATIONS)} or 'all'")
+                     f"{list(ABLATION_NAMES)} or 'all'")
     if args.command not in ("diff", "steady", "hotspots", "decisions") \
             and not (args.figure or args.ablation or args.sensitivity
                      or args.topologies or args.validate):

@@ -22,8 +22,9 @@ Two cost tiers keep the overhead ceiling (≤5 %, enforced by test):
 job-granular scheduler choices get full ring records (category
 ``"sched.decision"``, shared with the telemetry recorder when telemetry
 is on so trace and decision events interleave in one buffer); per-slice
-CPU outcomes are **exact counters only** — two dict operations per
-slice, immune to ring eviction.
+CPU outcomes and per-burst dispatches are **exact counters only** —
+one integer increment in the counting component's own probe, folded
+into :attr:`DecisionLedger.counts` when read, immune to ring eviction.
 
 The causal payoff is :func:`queued_decomposition`: each job's
 ``queued`` attribution bucket is decomposed over the deferral decisions
@@ -43,7 +44,7 @@ import math
 
 from repro.obs.metrics import Histogram
 from repro.obs.schemas import check_schema
-from repro.trace.recorder import TraceRecorder
+from repro.trace.recorder import TraceRecorder, detail_keys
 
 #: Decisions-stream schema identifier; bump on incompatible changes.
 SCHEMA = "repro-decisions/1"
@@ -58,16 +59,18 @@ DEFAULT_CAPACITY = 200_000
 class DecisionLedger:
     """Exact decision counters plus a ring of job-granular records.
 
-    ``counts`` maps ``(layer, kind, reason)`` to an exact tally that
-    never loses precision to ring eviction; :attr:`total` and
-    :attr:`deferrals` are O(1) cumulative totals the steady sink
-    snapshots per window.  Ring records go to ``recorder`` — pass the
-    telemetry recorder to share one buffer, or leave ``None`` for a
-    private ring.
+    :attr:`counts` maps ``(layer, kind, reason)`` to an exact tally
+    that never loses precision to ring eviction; :attr:`total` and
+    :attr:`deferrals` are cumulative totals the steady sink snapshots
+    per window.  The hottest tallies (per CPU slice and per burst) are
+    kept by the counting components themselves, each registered with
+    :meth:`add_counter` and read when :attr:`counts` or :attr:`total`
+    is.  Ring records go to ``recorder`` — pass the telemetry recorder
+    to share one buffer, or leave ``None`` for a private ring.
     """
 
-    __slots__ = ("env", "recorder", "owns_recorder", "counts", "total",
-                 "deferrals", "depth_hist", "meta")
+    __slots__ = ("env", "recorder", "owns_recorder", "_counts", "_total",
+                 "_counters", "deferrals", "depth_hist", "meta")
 
     def __init__(self, env, capacity=DEFAULT_CAPACITY, recorder=None):
         self.env = env
@@ -77,8 +80,9 @@ class DecisionLedger:
         else:
             self.owns_recorder = False
         self.recorder = recorder
-        self.counts = {}
-        self.total = 0
+        self._counts = {}
+        self._total = 0
+        self._counters = []
         self.deferrals = 0
         #: Queue depth observed at each deferral decision.
         self.depth_hist = Histogram("decisions.deferral_depth")
@@ -86,18 +90,45 @@ class DecisionLedger:
 
     # -- recording -------------------------------------------------------
     def tally(self, layer, kind, reason):
-        """Exact counter increment; the hot-path tier (no ring record)."""
+        """Exact counter increment; the counter tier (no ring record)."""
         key = (layer, kind, reason)
-        counts = self.counts
+        counts = self._counts
         counts[key] = counts.get(key, 0) + 1
-        self.total += 1
+        self._total += 1
+
+    def add_counter(self, counter):
+        """Register a component that tallies decisions in its own fields.
+
+        ``counter.ledger_counts()`` returns its ``((layer, kind,
+        reason), n)`` pairs; the CPU and local-scheduler probes count
+        per-slice and per-burst decisions this way, at the cost of one
+        integer increment instead of a call and two dict operations.
+        """
+        self._counters.append(counter)
+
+    @property
+    def counts(self):
+        """A new ``{(layer, kind, reason): n}`` dict of every tally."""
+        out = dict(self._counts)
+        for counter in self._counters:
+            for key, n in counter.ledger_counts():
+                if n:
+                    out[key] = out.get(key, 0) + n
+        return out
+
+    @property
+    def total(self):
+        """Decisions tallied so far."""
+        return self._total + sum(n for counter in self._counters
+                                 for _key, n in counter.ledger_counts())
 
     def record(self, layer, kind, reason, subject, **detail):
         """Tally plus a ring record for job-granular decisions."""
         self.tally(layer, kind, reason)
         self.recorder.append(self.env.now, CATEGORY, str(subject),
-                             {"layer": layer, "kind": kind,
-                              "reason": reason, **detail})
+                             detail_keys(("layer", "kind", "reason",
+                                          *detail)),
+                             layer, kind, reason, *detail.values())
 
     def defer(self, layer, subject, reason, queue_len, **detail):
         """Record one stalled dispatch round (deferral decision)."""

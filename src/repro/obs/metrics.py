@@ -8,7 +8,7 @@ Three instrument kinds, mirroring the usual metrics vocabulary:
   use).  Built on :class:`repro.sim.monitoring.TimeWeightedValue`, so it
   yields exact time-averages; with ``series`` enabled it also keeps the
   raw ``(time, value)`` samples for time-series export (Perfetto counter
-  tracks).
+  tracks), stored flat as ``[t0, v0, t1, v1, ...]``.
 - :class:`Histogram` — a distribution over **fixed log-scale bucket
   boundaries**.  Because every histogram of a given name shares the same
   boundaries, merging histograms across nodes (or across runs) is exact:
@@ -70,10 +70,12 @@ class Gauge:
     registry records series, every change appends a ``(time, value)``
     sample (bounded by ``max_points``; older points are kept, newer ones
     dropped and counted, since a truncated prefix still charts the run's
-    ramp-up).
+    ramp-up).  The series is one flat list ``[t0, v0, t1, v1, ...]``,
+    two list slots a point rather than a tuple each; :attr:`samples`
+    builds the list of ``(time, value)`` pairs on each access.
     """
 
-    __slots__ = ("name", "_twv", "samples", "_max_points", "dropped_points")
+    __slots__ = ("name", "_twv", "_series", "_max_len", "dropped_points")
 
     def __init__(self, name, env=None, initial=0.0, series=False,
                  max_points=100_000):
@@ -83,11 +85,21 @@ class Gauge:
             from repro.sim.monitoring import TimeWeightedValue
 
             self._twv = TimeWeightedValue(env, initial=initial)
-        self.samples = [] if series else None
-        self._max_points = max_points
+        self._series = [] if series else None
+        self._max_len = 2 * max_points
         self.dropped_points = 0
         if series and env is not None:
-            self.samples.append((env.now, initial))
+            self._series += (env.now, initial)
+
+    @property
+    def samples(self):
+        """The series as a new list of ``(time, value)`` pairs (``None``
+        when the gauge records no series)."""
+        series = self._series
+        if series is None:
+            return None
+        points = iter(series)
+        return list(zip(points, points))
 
     @property
     def value(self):
@@ -107,10 +119,11 @@ class Gauge:
             twv._max = value
         if value < twv._min:
             twv._min = value
-        samples = self.samples
-        if samples is not None:
-            if len(samples) < self._max_points:
-                samples.append((now, value))
+        series = self._series
+        if series is not None:
+            if len(series) < self._max_len:
+                series.append(now)
+                series.append(value)
             else:
                 self.dropped_points += 1
 
@@ -129,8 +142,8 @@ class Gauge:
         if self._twv is not None:
             out["max"] = self._twv.max
             out["min"] = self._twv.min
-        if self.samples is not None:
-            out["points"] = len(self.samples)
+        if self._series is not None:
+            out["points"] = len(self._series) // 2
             out["dropped_points"] = self.dropped_points
         return out
 
@@ -154,9 +167,9 @@ class FrozenGauge(Gauge):
     def __init__(self, gauge, until=None):
         self.name = gauge.name
         self._twv = None
-        self.samples = (list(gauge.samples)
-                        if gauge.samples is not None else None)
-        self._max_points = gauge._max_points
+        self._series = (list(gauge._series)
+                        if gauge._series is not None else None)
+        self._max_len = gauge._max_len
         self.dropped_points = gauge.dropped_points
         self._value = gauge.value
         self._avg = gauge.time_average(until)
@@ -184,8 +197,8 @@ class FrozenGauge(Gauge):
         if self._stats:
             out["max"] = self._max
             out["min"] = self._min
-        if self.samples is not None:
-            out["points"] = len(self.samples)
+        if self._series is not None:
+            out["points"] = len(self._series) // 2
             out["dropped_points"] = self.dropped_points
         return out
 

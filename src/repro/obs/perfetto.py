@@ -122,32 +122,35 @@ def to_perfetto(telemetry, process_tracks=False):
     recorded = list(telemetry.recorder)
     for e in recorded:
         if e.category == "cpu.slice":
-            pid = node_process(e.detail["node"])
+            d = e.detail
+            pid = node_process(d["node"])
             tid = tids.tid(pid, "cpu", fixed=CPU_TID)
-            name = str(e.detail.get("tag", "work"))
+            name = str(d.get("tag", "work"))
             events.append({
-                "ph": "X", "name": f"{e.detail.get('prio', '?')}:{name}",
+                "ph": "X", "name": f"{d.get('prio', '?')}:{name}",
                 "cat": e.category, "pid": pid, "tid": tid,
-                "ts": _us(e.time), "dur": _us(e.detail["dur"]),
+                "ts": _us(e.time), "dur": _us(d["dur"]),
                 "args": {"tag": name},
             })
         elif e.category == "cpu.preempt":
-            pid = node_process(e.detail["node"])
+            d = e.detail
+            pid = node_process(d["node"])
             events.append({
                 "ph": "i", "name": "preempt", "cat": e.category,
                 "pid": pid, "tid": tids.tid(pid, "cpu", fixed=CPU_TID),
                 "ts": _us(e.time), "s": "t",
-                "args": {"tag": str(e.detail.get("tag", ""))},
+                "args": {"tag": str(d.get("tag", ""))},
             })
         elif e.category == "link.transfer":
-            pid = node_process(e.detail["node"])
-            tid = tids.tid(pid, f"link->{e.detail['dst']}")
+            d = e.detail
+            pid = node_process(d["node"])
+            tid = tids.tid(pid, f"link->{d['dst']}")
             events.append({
-                "ph": "X", "name": f"xfer {e.detail['nbytes']}B",
+                "ph": "X", "name": f"xfer {d['nbytes']}B",
                 "cat": e.category, "pid": pid, "tid": tid,
-                "ts": _us(e.time), "dur": _us(e.detail["dur"]),
-                "args": {"nbytes": e.detail["nbytes"],
-                         "wait": e.detail.get("wait", 0.0)},
+                "ts": _us(e.time), "dur": _us(d["dur"]),
+                "args": {"nbytes": d["nbytes"],
+                         "wait": d.get("wait", 0.0)},
             })
         elif e.category == "sched.decision":
             # Decision-ledger records: instants on per-scheduler tracks
@@ -223,14 +226,15 @@ def to_perfetto(telemetry, process_tracks=False):
         })
 
     for name, gauge in sorted(telemetry.metrics.gauges().items()):
-        if not gauge.samples:
+        samples = gauge.samples
+        if not samples:
             continue
         m = _NODE_IN_NAME.search(name)
         if m is not None:
             pid = node_process(int(m.group(1)))
         else:
             pid = SCHEDULER_PID
-        for t, v in gauge.samples:
+        for t, v in samples:
             events.append({
                 "ph": "C", "name": name, "pid": pid, "ts": _us(t),
                 "args": {"value": v},

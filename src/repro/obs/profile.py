@@ -232,8 +232,8 @@ def _collect(events):
 
     for e in events:
         cat = e.category
-        d = e.detail
         if cat.startswith("job."):
+            d = e.detail
             jid = d.get("job")
             if jid is None:
                 continue
@@ -243,6 +243,7 @@ def _collect(events):
             if d.get("size") is not None:
                 jt.size_class = d["size"]
         elif cat == "cpu.slice":
+            d = e.detail
             if d.get("prio") != "low" or not isinstance(d.get("tag"), int):
                 continue
             jt = job(d["tag"])
@@ -253,6 +254,7 @@ def _collect(events):
                 jt.procs.add(proc)
                 jt.exec_by_proc.setdefault(proc, []).append(iv)
         elif cat == "cpu.wait":
+            d = e.detail
             if not isinstance(d.get("tag"), int):
                 continue
             jt = job(d["tag"])
@@ -262,6 +264,7 @@ def _collect(events):
             else:
                 jt.ready_ivals.append(iv)
         elif cat == "net.msg":
+            d = e.detail
             jid = d.get("job")
             if jid is None:
                 continue
@@ -277,6 +280,7 @@ def _collect(events):
                 "dst_proc": d.get("dst_proc"),
             })
         elif cat in ("mem.wait", "buf.wait"):
+            d = e.detail
             jid = d.get("job")
             if jid is None:
                 continue

@@ -76,8 +76,9 @@ def job_spans(events, phases=None):
             continue
         slot = transitions.setdefault(e.subject, {})
         slot.setdefault(e.category, e.time)
-        if e.detail:
-            details.setdefault(e.subject, {}).update(e.detail)
+        detail = e.detail
+        if detail:
+            details.setdefault(e.subject, {}).update(detail)
     spans = []
     for subject, marks in transitions.items():
         for name, start_ev, end_ev in phases:
@@ -104,21 +105,23 @@ def process_spans(events):
     spans = []
     for e in events:
         if e.category == "cpu.slice":
-            if e.detail.get("prio") != "low":
+            detail = e.detail
+            if detail.get("prio") != "low":
                 continue
             name = "executing"
         elif e.category == "cpu.wait":
-            if e.detail.get("kind") != "requeue":
+            detail = e.detail
+            if detail.get("kind") != "requeue":
                 continue
             name = "preempted"
         else:
             continue
-        proc = e.detail.get("proc")
+        proc = detail.get("proc")
         if proc is None:
             continue
-        dur = float(e.detail.get("dur", 0.0))
-        track = f"job{e.detail.get('tag')}.p{proc}"
-        args = {k: v for k, v in e.detail.items() if k != "dur"}
+        dur = float(detail.get("dur", 0.0))
+        track = f"job{detail.get('tag')}.p{proc}"
+        args = {k: v for k, v in detail.items() if k != "dur"}
         spans.append(Span(name, track, e.time, e.time + dur, args=args))
     spans.sort(key=lambda s: (s.start, s.track, s.name))
     return spans
@@ -135,8 +138,9 @@ def slice_spans(events, category):
     for e in events:
         if e.category != category:
             continue
-        dur = float(e.detail.get("dur", 0.0))
-        args = {k: v for k, v in e.detail.items() if k != "dur"}
+        detail = e.detail
+        dur = float(detail.get("dur", 0.0))
+        args = {k: v for k, v in detail.items() if k != "dur"}
         spans.append(Span(category, e.subject, e.time, e.time + dur,
                           args=args))
     spans.sort(key=lambda s: (s.start, s.track))

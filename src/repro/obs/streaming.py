@@ -472,7 +472,7 @@ class SteadyStateSink:
         self._system = system
         self._num_cpus = len(system.nodes)
         self._busy_prev = self._busy_time()
-        # Decision-rate columns: snapshot the ledger's O(1) cumulative
+        # Decision-rate columns: snapshot the ledger's cumulative
         # totals at each window close; keys are absent (and the stream
         # byte-identical) when the ledger is off.
         self._ledger = getattr(system, "decisions", None)

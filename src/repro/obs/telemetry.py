@@ -22,7 +22,7 @@ time.
 from __future__ import annotations
 
 from repro.obs.metrics import MetricsRegistry
-from repro.trace.recorder import TraceRecorder
+from repro.trace.recorder import TraceRecorder, detail_keys
 
 #: Default ring-buffer capacity for instrumented runs.  Big experiments
 #: overflow it; the ring keeps the most recent events and counts drops.
@@ -40,12 +40,14 @@ class Telemetry:
     # -- recording helpers ----------------------------------------------
     def event(self, category, subject, **detail):
         """Record an instant event at the current simulated time."""
-        self.recorder.append(self.env.now, category, str(subject), detail)
+        self.recorder.append(self.env.now, category, str(subject),
+                             detail_keys(detail), *detail.values())
 
     def slice(self, category, subject, start, duration, **detail):
         """Record an interval as an event at ``start`` with a ``dur``."""
+        detail = {"dur": duration, **detail}
         self.recorder.append(start, category, str(subject),
-                             {"dur": duration, **detail})
+                             detail_keys(detail), *detail.values())
 
     def job_observer(self):
         """``on_transition`` hook wiring job lifecycle into the recorder."""

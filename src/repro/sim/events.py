@@ -305,6 +305,9 @@ class Process(Event):
                     )
             except (StopIteration, StopProcess) as exc:
                 env._active_process = None
+                # A bound method of this process: dropped at the end so a
+                # finished process is freed by reference counting.
+                self._resume_cb = None
                 # Tail position by construction: resuming the waiters is
                 # the last thing this resumption does, so the process's
                 # completion may be handed off (dispatched synchronously)
@@ -313,6 +316,7 @@ class Process(Event):
                 return
             except BaseException as exc:
                 env._active_process = None
+                self._resume_cb = None
                 self._ok = False
                 self._value = exc
                 env.schedule(self)
@@ -326,6 +330,7 @@ class Process(Event):
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
                 self._generator.close()
+                self._resume_cb = None
                 self._ok = False
                 self._value = err
                 env.schedule(self)

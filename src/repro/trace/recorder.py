@@ -21,33 +21,57 @@ from operator import itemgetter
 
 _new_tuple = tuple.__new__
 
+#: Every keys tuple :func:`detail_keys` has handed out, by content.
+_KEYS = {}
+
+
+def detail_keys(detail):
+    """The shared keys tuple of ``detail`` (a mapping or key sequence).
+
+    The converter for callers that record a detail dict: each distinct
+    key order maps to one tuple object, so the records of one site
+    share their ``keys`` instead of each holding a copy.  Fixed sites
+    skip it and pass a module-level tuple.
+    """
+    keys = tuple(detail)
+    return _KEYS.setdefault(keys, keys)
+
 
 class TraceEvent(tuple):
     """One event of the trace: what happened to whom, when.
 
-    An immutable ``(time, category, subject, detail)`` record; ``detail``
-    defaults to an empty dict.  Equality and hashing use the first three
-    fields only.  A tuple rather than a dataclass because runs record
-    hundreds of thousands of these: :meth:`TraceRecorder.append` builds
-    one with a single ``tuple.__new__`` call, about a quarter of the
-    cost of building a frozen dataclass, in a fifth of its memory.
+    An immutable flat tuple ``(time, category, subject, keys, *values)``:
+    ``values`` are the event's detail fields, named in order by
+    ``keys``, one tuple shared by every record from the same recording
+    site.  A record therefore costs one tuple and no dict; runs record
+    hundreds of thousands of them.  :attr:`detail` builds the
+    ``{key: value}`` dict on each access, so a consumer reads it once
+    per record.  ``TraceEvent(time, category, subject, detail)`` builds
+    a record from a dict (``detail`` defaults to empty).  Equality and
+    hashing use the first three fields only.
     """
 
     __slots__ = ()
 
     def __new__(cls, time, category, subject, detail=None):
+        if not detail:
+            return _new_tuple(cls, (time, category, subject, ()))
         return _new_tuple(cls, (time, category, subject,
-                                {} if detail is None else detail))
+                                detail_keys(detail), *detail.values()))
 
-    def __getnewargs__(self):
-        # Pickle (and copy) rebuild through ``__new__`` with all four
-        # fields; worker processes ship recorders back to the parent.
-        return tuple(self)
+    def __reduce__(self):
+        # Pickle (and copy) ship the flat tuple; worker processes ship
+        # recorders back to the parent, each keys tuple pickled once.
+        return _new_tuple, (self.__class__, tuple(self))
 
     time = property(itemgetter(0))
     category = property(itemgetter(1))
     subject = property(itemgetter(2))
-    detail = property(itemgetter(3))
+
+    @property
+    def detail(self):
+        """The detail fields as a new ``{key: value}`` dict."""
+        return dict(zip(self[3], self[4:]))
 
     # Only another event compares equal: a plain tuple with the same
     # fields does not, as with the dataclass this class replaced.
@@ -62,13 +86,15 @@ class TraceEvent(tuple):
 
     def __repr__(self):
         return (f"TraceEvent(time={self[0]!r}, category={self[1]!r}, "
-                f"subject={self[2]!r}, detail={self[3]!r})")
+                f"subject={self[2]!r}, detail={self.detail!r})")
 
     def __str__(self):
-        detail = self[3]
-        extra = (" " + " ".join(f"{k}={v}" for k, v in detail.items())
-                 if detail else "")
+        extra = "".join(f" {k}={v}" for k, v in zip(self[3], self[4:]))
         return f"[{self[0]:12.6f}] {self[1]:<12} {self[2]}{extra}"
+
+
+#: Detail keys of the job observer's lifecycle records.
+_JOB_KEYS = ("size", "job")
 
 
 class TraceRecorder:
@@ -82,22 +108,25 @@ class TraceRecorder:
         #: Events evicted from a full ring buffer (oldest-first).
         self.dropped = 0
 
-    def append(self, time, category, subject, detail):
-        """Record one event from a detail dict the caller has built.
+    def append(self, time, category, subject, keys, *values):
+        """Record one event; ``keys`` names its detail ``values`` in order.
 
-        The single recording path: ``subject`` must already be a string,
-        and the recorder keeps ``detail`` itself, so the caller must not
-        mutate it afterwards.
+        The single recording path, storing the flat record
+        ``(time, category, subject, keys, *values)``.  ``subject`` must
+        already be a string, and ``keys`` a tuple shared by every record
+        from the calling site: a module-level constant at a fixed site,
+        or :func:`detail_keys` of the caller's detail dict.
         """
         events = self.events
         if len(events) == self.capacity:
             self.dropped += 1
         events.append(_new_tuple(TraceEvent,
-                                 (time, category, subject, detail)))
+                                 (time, category, subject, keys, *values)))
 
     def record(self, time, category, subject, **detail):
         """Record one event with keyword ``detail`` (any ``subject``)."""
-        self.append(time, category, str(subject), detail)
+        self.append(time, category, str(subject), detail_keys(detail),
+                    *detail.values())
 
     def __len__(self):
         return len(self.events)
@@ -145,6 +174,6 @@ class TraceRecorder:
         append = self.append
 
         def observe(job, event_name, now):
-            append(now, f"job.{event_name}", str(job.name),
-                   {"size": job.size_class, "job": job.job_id})
+            append(now, f"job.{event_name}", str(job.name), _JOB_KEYS,
+                   job.size_class, job.job_id)
         return observe

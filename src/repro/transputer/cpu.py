@@ -43,6 +43,18 @@ LOW = 1
 
 _EPS = 1e-12
 
+#: Detail keys of the CPU probe's trace records, one tuple per site.
+_WAIT_KEYS = ("dur", "node", "tag", "proc", "kind")
+_SLICE_KEYS = ("dur", "node", "prio", "tag", "proc")
+_PREEMPT_KEYS = ("node", "tag")
+
+#: The decision ledger's keys for the CPU probe's per-slice tallies.
+_ARM_QUANTUM = ("cpu", "arm", "quantum")
+_ARM_EXTENDED = ("cpu", "arm", "extended")
+_PREEMPTED = ("cpu", "slice", "preempted")
+_BLOCK_YIELD = ("cpu", "slice", "block_yield")
+_QUANTUM_EXPIRY = ("cpu", "slice", "quantum_expiry")
+
 
 class WorkRequest(Event):
     """A burst of CPU work; the event fires when the burst completes."""
@@ -214,7 +226,7 @@ class Cpu:
         if work_seconds <= _EPS:
             # Zero-length bursts complete immediately without dispatching.
             req.started_at = self.env._now
-            req.succeed(req)
+            req.succeed()
             return req
         if priority == HIGH:
             self._high.append(req)
@@ -325,9 +337,14 @@ class Cpu:
         if first:
             req.started_at = now
         timer = self._timer
+        probe = self._probe
         if req.priority == HIGH:
             slice_len = req.remaining
             timer.callbacks = self._high_end_cbs
+            # The ledger counts no high-priority decision, so only
+            # telemetry (a probe with a recorder) sees a high slice.
+            if first and probe is not None and probe.append is not None:
+                probe.first_grant(req)
         else:
             if self._high or self._low:
                 # min(quantum, remaining), without the builtin call.
@@ -343,9 +360,17 @@ class Cpu:
                 slice_len = req.remaining
                 self._slice_interruptible = "extended"
             timer.callbacks = self._low_end_cbs
-        probe = self._probe
-        if probe is not None:
-            probe.grant(req, first, self._slice_interruptible)
+            if probe is not None:
+                if probe.ledger is not None:
+                    # The ledger's counter tier, kept on the probe: a
+                    # call, let alone a ring record, per slice would
+                    # blow its overhead ceiling on slice-dominated runs.
+                    if self._slice_interruptible == "quantum":
+                        probe.quantum_arms += 1
+                    else:
+                        probe.extended_arms += 1
+                if probe.append is not None:
+                    probe.grant(req, first)
         req.slices += 1
         stats.dispatches += 1
         self._slice_start = now
@@ -364,10 +389,10 @@ class Cpu:
         stats.completed += 1
         self._running = None
         probe = self._probe
-        if probe is not None:
+        if probe is not None and probe.append is not None:
             probe.high_end(req, self._slice_start, burst)
         self._dispatch_next()
-        self.env.handoff(req, req)
+        self.env.handoff(req)
 
     def _cb_interrupt(self, _event):
         # The pending slice timer's agenda entry stays queued; emptied,
@@ -394,12 +419,20 @@ class Cpu:
         stats.low_time += elapsed
         probe = self._probe
         if probe is not None:
-            probe.low_end(req, self._slice_start, elapsed, preempted)
+            if probe.ledger is not None:
+                if preempted:
+                    probe.preempted_slices += 1
+                elif remaining <= _EPS:
+                    probe.yielded_slices += 1
+                else:
+                    probe.expired_slices += 1
+            if probe.append is not None:
+                probe.low_end(req, self._slice_start, elapsed, preempted)
         if remaining <= _EPS:
             req.remaining = 0.0
             stats.completed += 1
             self._dispatch_next()
-            env.handoff(req, req)
+            env.handoff(req)
             return
         req.ready_since = now
         req.ready_kind = "requeue"
@@ -435,10 +468,16 @@ class _CpuProbe:
     telemetry recorder's append (``None`` with only the ledger on), and
     each instrument handle is bound on its first use: a histogram or
     counter that never records must not appear in the metrics export.
+    The methods record telemetry only, and the CPU calls them only when
+    ``append`` is set.  With the ledger on, the CPU counts its per-slice
+    decisions in the five tally fields, which the ledger reads through
+    :meth:`ledger_counts`.
     """
 
     __slots__ = ("env", "node", "track", "append", "metrics", "ledger",
-                 "_latency", "_quantum_slice", "_preemptions")
+                 "_latency", "_quantum_slice", "_preemptions",
+                 "quantum_arms", "extended_arms", "preempted_slices",
+                 "yielded_slices", "expired_slices")
 
     def __init__(self, env, node_id, tel, led):
         node = node_id if node_id is not None else -1
@@ -451,59 +490,55 @@ class _CpuProbe:
         self._latency = None
         self._quantum_slice = None
         self._preemptions = None
+        self.quantum_arms = self.extended_arms = 0
+        self.preempted_slices = self.yielded_slices = 0
+        self.expired_slices = 0
+        if led is not None:
+            led.add_counter(self)
 
-    def grant(self, req, first, mode):
-        """A slice start: its ready-queue wait, first-dispatch latency
-        and the ledger's quantum-arming tally (``mode``)."""
-        low = req.priority == LOW
-        append = self.append
-        if append is not None:
-            now = self.env._now
-            if low:
-                # The ready-queue interval that ended with this
-                # dispatch, stamped at the instant the request
-                # (re-)entered the queue; ``kind`` tells a first grant
-                # ("enqueue") from regaining the CPU after losing it
-                # with work remaining ("requeue": quantum expiry,
-                # preemption, or a gang park).
-                wait = now - req.ready_since
-                if wait > 0:
-                    append(req.ready_since, "cpu.wait", self.track,
-                           {"dur": wait, "node": self.node, "tag": req.tag,
-                            "proc": req.proc, "kind": req.ready_kind})
-            if first:
-                latency = self._latency
-                if latency is None:
-                    latency = self._latency = self.metrics.histogram(
-                        "cpu.dispatch_latency")
-                latency.observe(now - req.submitted_at)
-        if low and self.ledger is not None:
-            # Counter tier only: a ring record per slice would blow the
-            # ledger's overhead ceiling on slice-dominated runs.
-            self.ledger.tally("cpu", "arm", mode)
+    def ledger_counts(self):
+        """The per-slice decisions counted so far, keyed for the ledger."""
+        return ((_ARM_QUANTUM, self.quantum_arms),
+                (_ARM_EXTENDED, self.extended_arms),
+                (_PREEMPTED, self.preempted_slices),
+                (_BLOCK_YIELD, self.yielded_slices),
+                (_QUANTUM_EXPIRY, self.expired_slices))
+
+    def grant(self, req, first):
+        """A low-priority slice start: its ready-queue wait and, on the
+        request's first grant, its dispatch latency."""
+        # The ready-queue interval that ended with this dispatch,
+        # stamped at the instant the request (re-)entered the queue;
+        # ``kind`` tells a first grant ("enqueue") from regaining the
+        # CPU after losing it with work remaining ("requeue": quantum
+        # expiry, preemption, or a gang park).
+        wait = self.env._now - req.ready_since
+        if wait > 0:
+            self.append(req.ready_since, "cpu.wait", self.track,
+                        _WAIT_KEYS, wait, self.node, req.tag, req.proc,
+                        req.ready_kind)
+        if first:
+            self.first_grant(req)
+
+    def first_grant(self, req):
+        """A request's first dispatch: its latency."""
+        latency = self._latency
+        if latency is None:
+            latency = self._latency = self.metrics.histogram(
+                "cpu.dispatch_latency")
+        latency.observe(self.env._now - req.submitted_at)
 
     def high_end(self, req, start, burst):
         """A completed high-priority slice, as a span on the CPU track."""
-        if self.append is not None:
-            self.append(start, "cpu.slice", self.track,
-                        {"dur": burst, "node": self.node, "prio": "high",
-                         "tag": req.tag, "proc": req.proc})
+        self.append(start, "cpu.slice", self.track, _SLICE_KEYS,
+                    burst, self.node, "high", req.tag, req.proc)
 
     def low_end(self, req, start, elapsed, preempted):
-        """A low slice's end: its outcome tally, span and preemption."""
-        led = self.ledger
-        if led is not None:
-            led.tally("cpu", "slice",
-                      "preempted" if preempted
-                      else "block_yield" if req.remaining <= _EPS
-                      else "quantum_expiry")
+        """A low slice's end: its span and preemption."""
         append = self.append
-        if append is None:
-            return
         if elapsed > 0:
-            append(start, "cpu.slice", self.track,
-                   {"dur": elapsed, "node": self.node, "prio": "low",
-                    "tag": req.tag, "proc": req.proc})
+            append(start, "cpu.slice", self.track, _SLICE_KEYS,
+                   elapsed, self.node, "low", req.tag, req.proc)
             quantum_slice = self._quantum_slice
             if quantum_slice is None:
                 quantum_slice = self._quantum_slice = self.metrics.histogram(
@@ -515,5 +550,5 @@ class _CpuProbe:
                 preemptions = self._preemptions = self.metrics.counter(
                     "cpu.preemptions")
             preemptions.inc()
-            append(self.env._now, "cpu.preempt", self.track,
-                   {"node": self.node, "tag": req.tag})
+            append(self.env._now, "cpu.preempt", self.track, _PREEMPT_KEYS,
+                   self.node, req.tag)

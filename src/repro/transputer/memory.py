@@ -25,6 +25,10 @@ from dataclasses import dataclass
 
 from repro.sim import Event
 
+#: Detail keys of the allocator probes' trace records.
+_MEM_WAIT_KEYS = ("dur", "node", "region", "job", "nbytes")
+_BUF_WAIT_KEYS = ("dur", "node", "job", "hop_class")
+
 
 class MemoryError_(Exception):
     """Raised for impossible requests (larger than total capacity)."""
@@ -196,10 +200,8 @@ class _MmuProbe:
             hist = self._wait = self.metrics.histogram(self.wait_name)
         hist.observe(wait)
         if wait > 0:
-            self.append(t0, "mem.wait", self.track,
-                        {"dur": wait, "node": self.node,
-                         "region": self.region, "job": req.owner,
-                         "nbytes": req.nbytes})
+            self.append(t0, "mem.wait", self.track, _MEM_WAIT_KEYS,
+                        wait, self.node, self.region, req.owner, req.nbytes)
         self.level(in_use)
 
 
@@ -382,6 +384,5 @@ class _BufferProbe:
             hist = self._wait = self.metrics.histogram("buf.wait")
         hist.observe(wait)
         if wait > 0:
-            self.append(t0, "buf.wait", self.track,
-                        {"dur": wait, "node": self.node, "job": req.owner,
-                         "hop_class": req.hop_class})
+            self.append(t0, "buf.wait", self.track, _BUF_WAIT_KEYS,
+                        wait, self.node, req.owner, req.hop_class)

@@ -92,12 +92,28 @@ def test_recorded_cell_loads_exactly_the_recorders():
     assert _family(modules, *HEAVY) == set()
 
 
-@pytest.mark.parametrize("argv", [["--help"],
-                                  ["--figure", "3", "--scale", "smoke"]],
+#: Never loaded by parsing the command line alone: no model, no
+#: recorder, no allocation tracer.
+MODEL = ("repro.sim", "repro.core", "repro.obs", "tracemalloc")
+
+
+@pytest.mark.parametrize("argv, absent",
+                         [(["--help"], HEAVY + MODEL),
+                          (["--figure", "3", "--scale", "smoke"], HEAVY)],
                          ids=["help", "figure3-smoke"])
-def test_cli_loads_no_numpy_or_process_pool(argv):
+def test_cli_loads_no_numpy_or_process_pool(argv, absent):
     modules = _loaded(_MAIN.format(argv=argv))
-    assert _family(modules, *HEAVY) == set()
+    assert _family(modules, *absent) == set()
+
+
+def test_cli_static_names_match_their_sources():
+    """The CLI spells out what it would otherwise import a model for."""
+    from repro.experiments import cli
+    from repro.experiments.ablations import ALL_ABLATIONS
+    from repro.obs.kernelprof import DEFAULT_SAMPLE_EVERY
+
+    assert cli.ABLATION_NAMES == tuple(sorted(ALL_ABLATIONS))
+    assert cli.DEFAULT_SAMPLE_EVERY == DEFAULT_SAMPLE_EVERY
 
 
 def test_from_import_falls_through_to_submodules():

@@ -30,6 +30,38 @@ def make_system(policy, topology="linear", num_nodes=4, **overrides):
     return MulticomputerSystem(cfg, policy)
 
 
+# ---------------------------------------------------------------- memory
+@pytest.mark.parametrize("make_policy",
+                         [TimeSharing, lambda: StaticSpaceSharing(2)],
+                         ids=["timesharing", "static"])
+def test_finished_processes_and_requests_need_no_cyclic_gc(make_policy):
+    """A finished process or CPU request is in no reference cycle, so
+    reference counting frees it: with the cyclic collector off, none of
+    a run's is left once the run is over."""
+    import gc
+
+    from repro.sim.events import Process
+    from repro.transputer.cpu import WorkRequest
+
+    def alive():
+        return {id(o) for o in gc.get_objects()
+                if isinstance(o, (Process, WorkRequest))}
+
+    gc.collect()
+    gc.disable()
+    try:
+        before = alive()
+        system = MulticomputerSystem(
+            SystemConfig(num_nodes=4, topology="linear"), make_policy())
+        result = system.run_batch(small_batch())
+        assert all(job.state is JobState.COMPLETED for job in result.jobs)
+        del system, result
+        left = alive() - before
+    finally:
+        gc.enable()
+    assert not left
+
+
 # ------------------------------------------------------------- partitioning
 def test_equal_partition_node_sets():
     assert equal_partition_node_sets(16, 4) == [
