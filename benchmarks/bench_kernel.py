@@ -6,6 +6,8 @@ regressions in the substrate are visible independently of the
 experiment harness.
 """
 
+import time
+
 from repro.comm import Network
 from repro.core import MulticomputerSystem, SystemConfig, TimeSharing
 from repro.obs import attach, attach_ledger
@@ -299,6 +301,55 @@ def test_observed_transport(benchmark):
     assert tel.recorder.categories()["cpu.preempt"] > 0
     print(f"\nobserved_transport: {records / doc['kernel_s']:,.0f} "
           f"records/s, {records} records, {doc['events']} events")
+
+
+def test_open_stream_jobs(benchmark):
+    """Open-system job lifecycles: the per-job host cost.
+
+    A fixed-seed Poisson stream of one-process synthetic jobs at
+    offered load 0.85 on four single-node static partitions, streamed
+    through a ``SteadyStateSink``: ``perfbench``'s static
+    ``open_stream`` cell, shortened.  A job needs only seven events, so
+    the host time goes to arrival, the three scheduler tiers, the job
+    body, completion and the sink rather than to the event loop
+    (GUIDE §16, "What a job costs").  The event count is fixed by the
+    model; a change to it is a behaviour change, not a speed change.
+    """
+    import numpy as np
+
+    from repro.core import StaticSpaceSharing
+    from repro.obs.streaming import SteadyStateSink
+    from repro.workload import JobSpec, SyntheticForkJoin, poisson_arrivals
+
+    MEAN_OPS = 1.65e5            # 0.5 s on one node
+    RATE = 0.85 * 4 * 3.3e5 / MEAN_OPS
+    DURATION = 400.0
+    SEED = 2026
+    JOBS = 2_622
+    EVENTS = 18_361
+
+    def factory(rng):
+        ops = max(float(rng.exponential(MEAN_OPS)), 1.0)
+        return JobSpec(SyntheticForkJoin(ops, architecture="adaptive",
+                                         message_bytes=64), "exp")
+
+    def run():
+        rng = np.random.default_rng(SEED)
+        system = MulticomputerSystem(
+            SystemConfig(num_nodes=4, topology="mesh"),
+            StaticSpaceSharing(1))
+        start = time.perf_counter()
+        result = system.run_open(
+            poisson_arrivals(RATE, DURATION, factory, rng),
+            collect_jobs=False,
+            sink=SteadyStateSink(window=DURATION / 50.0))
+        return result, system.env, time.perf_counter() - start
+
+    result, env, seconds = benchmark(run)
+    assert result.jobs_completed == result.jobs_arrived == JOBS
+    assert env.events_processed == EVENTS
+    print(f"\nopen_stream_jobs: {JOBS / seconds:,.0f} jobs/s, "
+          f"{EVENTS} events, {env.handoffs} handoffs")
 
 
 def test_system_build_cost(benchmark):

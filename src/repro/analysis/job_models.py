@@ -8,7 +8,7 @@ back-of-envelope tools when choosing experiment scales.
 
 from __future__ import annotations
 
-from repro.workload.costs import CostModel
+from repro.workload.costs import DEFAULT_COSTS
 
 
 def matmul_job_time(n, processors, config, costs=None,
@@ -28,7 +28,7 @@ def matmul_job_time(n, processors, config, costs=None,
 
     Deliberately first-order: no queueing, minimum hop count of 1.
     """
-    costs = costs or CostModel()
+    costs = costs or DEFAULT_COSTS
     T = fixed_processes if architecture == "fixed" else processors
     rows = costs.split_rows(n, T)
     compute = config.ops_time(costs.matmul_worker_ops(n, max(rows)))
@@ -51,7 +51,7 @@ def matmul_job_time(n, processors, config, costs=None,
 
 def sort_total_ops(n, num_processes, costs=None):
     """Total operations of the divide-and-conquer sort (all phases)."""
-    costs = costs or CostModel()
+    costs = costs or DEFAULT_COSTS
     T = num_processes
     depth = T.bit_length() - 1
     ops = T * costs.selection_sort_ops(n / T)

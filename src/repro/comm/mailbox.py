@@ -12,7 +12,12 @@ consumed.
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from repro.sim import FilterStore
+
+#: The mailbox store's key: a message's tag, read without a Python call.
+_TAG = attrgetter("tag")
 
 
 class Mailbox:
@@ -24,7 +29,7 @@ class Mailbox:
         # Keyed store: tag receives — the overwhelmingly common case —
         # are served from per-tag deques in O(1) instead of a
         # predicate scan over every pending message and waiter.
-        self._store = FilterStore(env, key=lambda m: m.tag)
+        self._store = FilterStore(env, key=_TAG)
         #: Live mailbox-memory allocations keyed by message id.
         self._allocations = {}
         self.delivered = 0
@@ -35,7 +40,7 @@ class Mailbox:
 
     def deliver(self, message, allocation=None):
         """Called by the network when a message finishes reassembly."""
-        message.delivered_at = self.env.now
+        message.delivered_at = self.env._now
         if allocation is not None:
             self._allocations[message.msg_id] = allocation
         self.delivered += 1
@@ -62,9 +67,9 @@ class Mailbox:
         return get
 
     def _on_recv(self, event):
-        if not event.ok:
+        if not event._ok:
             return
-        message = event.value
+        message = event._value
         self.received += 1
         allocation = self._allocations.pop(message.msg_id, None)
         if allocation is not None:

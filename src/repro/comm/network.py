@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 from repro.comm.mailbox import Mailbox
 from repro.comm.message import Message, fragment
+from repro.sim.events import AllOf, Event
 from repro.topology.routing import build_router
 from repro.transputer.cpu import HIGH
 from repro.transputer.link import Link
@@ -143,15 +144,19 @@ class Network:
         ``src_proc``/``dst_proc`` carry the job-local process indices of
         the endpoints for telemetry attribution.
         """
-        self._check_member(src)
-        self._check_member(dst)
+        nodes = self.nodes
+        if src not in nodes:
+            raise self._not_member(src)
+        if dst not in nodes:
+            raise self._not_member(dst)
         message = Message(src, dst, nbytes, tag=tag, payload=payload,
                           src_proc=src_proc, dst_proc=dst_proc)
         return _MessageWalker(self, message).done
 
     def recv(self, node_id, match=None, tag=None):
         """Receive a message at ``node_id`` (see :meth:`Mailbox.recv`)."""
-        self._check_member(node_id)
+        if node_id not in self.nodes:
+            raise self._not_member(node_id)
         return self.nodes[node_id].mailbox.recv(match=match, tag=tag)
 
     def link_utilizations(self, elapsed):
@@ -163,12 +168,11 @@ class Network:
         return out
 
     # -- internals ------------------------------------------------------
-    def _check_member(self, node_id):
-        if node_id not in self.nodes:
-            raise ValueError(
-                f"node {node_id!r} is not part of this partition network "
-                f"(members: {list(self.nodes)})"
-            )
+    def _not_member(self, node_id):
+        return ValueError(
+            f"node {node_id!r} is not part of this partition network "
+            f"(members: {list(self.nodes)})"
+        )
 
     def _deliver(self, message, allocation):
         self.stats.messages_delivered += 1
@@ -274,23 +278,28 @@ class _MessageWalker:
     with the first awaited event's failure.
     """
 
-    __slots__ = ("network", "message", "alloc", "path", "done")
+    __slots__ = ("network", "message", "owner", "alloc", "path", "done")
 
     def __init__(self, network, message):
         self.network = network
         self.message = message
+        #: The owning job's id (``Message.job_id``), derived once and
+        #: charged for the mailbox reservation and every transit buffer.
+        self.owner = message.job_id
         self.alloc = None
         self.path = None
-        self.done = network.env.event()
-        network.env.kick(self._start)
+        env = network.env
+        self.done = Event(env)
+        env.kick(self._start)
 
     def _start(self, _event):
         network = self.network
         message = self.message
         cfg = network.config
-        message.sent_at = network.env.now
-        network.stats.messages_sent += 1
-        network.stats.bytes_sent += message.nbytes
+        message.sent_at = network.env._now
+        stats = network.stats
+        stats.messages_sent += 1
+        stats.bytes_sent += message.nbytes
         kp = network._kp
         if kp is not None:
             kp.count("comm.messages")
@@ -316,7 +325,7 @@ class _MessageWalker:
             message.hops = 0
             network.stats.self_messages += 1
             request = dst_node.mailbox_memory.alloc(
-                max(message.nbytes, 1), owner=message.job_id
+                max(message.nbytes, 1), owner=self.owner
             )
             request.callbacks.append(self._on_self_alloc)
             return
@@ -335,7 +344,7 @@ class _MessageWalker:
         # suffer a delay if [a] processor delays allocation of memory
         # for the mailbox".
         request = dst_node.mailbox_memory.alloc(
-            max(message.nbytes, 1), owner=message.job_id
+            max(message.nbytes, 1), owner=self.owner
         )
         request.callbacks.append(self._on_alloc)
 
@@ -369,9 +378,11 @@ class _MessageWalker:
         network = self.network
         message = self.message
         packets = fragment(message, network.config.packet_bytes)
-        done = [_PacketWalker(network, pkt, self.path).done
+        path = self.path
+        owner = self.owner
+        done = [_PacketWalker(network, pkt, path, owner).done
                 for pkt in packets]
-        gather = network.env.all_of(done)
+        gather = AllOf(network.env, done)
         gather.callbacks.append(self._on_packets)
 
     def _on_packets(self, event):
@@ -406,20 +417,27 @@ class _PacketWalker:
     one) or fails with the first awaited event's failure.
     """
 
-    __slots__ = ("network", "packet", "path", "hop", "held", "slot", "done")
+    __slots__ = ("network", "packet", "path", "owner", "hop_cost", "hop",
+                 "held", "slot", "done")
 
-    def __init__(self, network, packet, path):
+    def __init__(self, network, packet, path, owner):
         self.network = network
         self.packet = packet
         self.path = path
+        #: The owning job's id, charged for each transit buffer.
+        self.owner = owner
+        #: Forwarding software charged at every node the packet reaches:
+        #: the same at each hop, so computed once.
+        self.hop_cost = network.config.hop_cpu_cost(packet.nbytes)
         self.hop = 0
         #: Transit buffer occupied at the current node, released only
         #: after the packet has crossed the next link (store-and-forward).
         self.held = None
         #: Buffer granted at the next node, adopted as ``held`` there.
         self.slot = None
-        self.done = network.env.event()
-        network.env.kick(self._start)
+        env = network.env
+        self.done = Event(env)
+        env.kick(self._start)
 
     def _start(self, _event):
         kp = self.network._kp
@@ -443,7 +461,7 @@ class _PacketWalker:
             self._transmit(None)
             return
         request = self.network.nodes[v].buffers.acquire(
-            hop, owner=self.packet.message.job_id
+            hop, owner=self.owner
         )
         request.callbacks.append(self._on_buffer)
 
@@ -480,9 +498,7 @@ class _PacketWalker:
         self.held = self.slot
         # Per-packet forwarding/receive software at the arriving node:
         # fixed overhead plus the store-and-forward memory copy.
-        work = network.nodes[v].cpu.execute(
-            network.config.hop_cpu_cost(packet.nbytes), HIGH, tag="comm"
-        )
+        work = network.nodes[v].cpu.execute(self.hop_cost, HIGH, tag="comm")
         work.callbacks.append(self._on_cpu)
 
     def _on_cpu(self, event):

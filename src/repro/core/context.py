@@ -37,7 +37,9 @@ class ExecutionContext:
         return self.partition.place(process_index, self.placement_offset)
 
     def node(self, process_index):
-        return self.partition.node(self.place(process_index))
+        partition = self.partition
+        return partition.nodes[
+            partition.place(process_index, self.placement_offset)]
 
     # -- computation ------------------------------------------------------
     def compute(self, process_index, ops):
@@ -52,16 +54,15 @@ class ExecutionContext:
                                             proc=process_index)
 
     # -- communication -----------------------------------------------------
-    def _scoped(self, tag):
-        return (self.job.job_id, tag)
-
     def send(self, src_index, dst_index, nbytes, tag, payload=None):
         """Send between two of the job's processes (tags are job-scoped)."""
-        return self.partition.network.send(
-            self.place(src_index),
-            self.place(dst_index),
+        partition = self.partition
+        offset = self.placement_offset
+        return partition.network.send(
+            partition.place(src_index, offset),
+            partition.place(dst_index, offset),
             nbytes,
-            tag=self._scoped(tag),
+            tag=(self.job.job_id, tag),
             payload=payload,
             src_proc=src_index,
             dst_proc=dst_index,
@@ -69,8 +70,10 @@ class ExecutionContext:
 
     def recv(self, process_index, tag):
         """Receive the next message for ``tag`` at this process's node."""
-        return self.partition.network.recv(
-            self.place(process_index), tag=self._scoped(tag)
+        partition = self.partition
+        return partition.network.recv(
+            partition.place(process_index, self.placement_offset),
+            tag=(self.job.job_id, tag),
         )
 
     def recv_prefix(self, process_index, prefix):

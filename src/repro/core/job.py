@@ -21,6 +21,15 @@ class JobState(Enum):
     COMPLETED = "completed"
 
 
+#: The states a job moves through, bound once: an enum member read
+#: through its class costs a metaclass lookup on every transition.
+_PENDING = JobState.PENDING
+_QUEUED = JobState.QUEUED
+_DISPATCHED = JobState.DISPATCHED
+_RUNNING = JobState.RUNNING
+_COMPLETED = JobState.COMPLETED
+
+
 class Job:
     """One application run with its timing record.
 
@@ -36,7 +45,7 @@ class Job:
         #: "small" / "large" (or None) — for per-class reporting.
         self.size_class = size_class
         self.name = name or f"job{self.job_id}"
-        self.state = JobState.PENDING
+        self.state = _PENDING
         self.submitted_at = None
         self.dispatched_at = None
         self.started_at = None
@@ -70,31 +79,33 @@ class Job:
         return self.completed_at - self.started_at
 
     # -- state transitions ----------------------------------------------
-    def _notify(self, event_name, now):
-        if self.on_transition is not None:
-            self.on_transition(self, event_name, now)
-
+    # Each transition tests the tracing hook itself: four per job, on
+    # the path every job takes, so no shared helper call.
     def mark_submitted(self, now):
         self.submitted_at = now
-        self.state = JobState.QUEUED
-        self._notify("submitted", now)
+        self.state = _QUEUED
+        if self.on_transition is not None:
+            self.on_transition(self, "submitted", now)
 
     def mark_dispatched(self, now, partition):
         self.dispatched_at = now
         self.partition = partition
-        self.state = JobState.DISPATCHED
-        self._notify("dispatched", now)
+        self.state = _DISPATCHED
+        if self.on_transition is not None:
+            self.on_transition(self, "dispatched", now)
 
     def mark_started(self, now):
         if self.started_at is None:
             self.started_at = now
-        self.state = JobState.RUNNING
-        self._notify("started", now)
+        self.state = _RUNNING
+        if self.on_transition is not None:
+            self.on_transition(self, "started", now)
 
     def mark_completed(self, now):
         self.completed_at = now
-        self.state = JobState.COMPLETED
-        self._notify("completed", now)
+        self.state = _COMPLETED
+        if self.on_transition is not None:
+            self.on_transition(self, "completed", now)
 
     def __repr__(self):
         return (f"<Job {self.name} ({self.size_class}) "

@@ -82,7 +82,8 @@ class Partition:
         coordinators spread over the partition instead of stacking on
         one node.
         """
-        return self.node_ids[(process_index + offset) % self.size]
+        node_ids = self.node_ids
+        return node_ids[(process_index + offset) % len(node_ids)]
 
     def __repr__(self):
         return (f"<Partition {self.partition_id} "

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import deque
 
 from repro.core.context import ExecutionContext
+from repro.transputer.cpu import HIGH
 
 
 class PartitionScheduler:
@@ -23,8 +24,13 @@ class PartitionScheduler:
         if placement not in ("aligned", "staggered"):
             raise ValueError(f"unknown placement {placement!r}")
         self.env = env
-        #: Decision ledger bound at construction; None when off.
+        #: Decision ledger and telemetry instruments bound at
+        #: construction (both are attached in ``system.build()`` before
+        #: schedulers exist); None when off.
         self._led = getattr(env, "decisions", None)
+        tel = env.telemetry
+        self._probe = (_PartitionProbe(tel.metrics, partition.partition_id)
+                       if tel is not None else None)
         self.partition = partition
         self.policy = policy
         self.config = config
@@ -68,19 +74,11 @@ class PartitionScheduler:
 
     def admit(self, job):
         """Accept a job from the super scheduler."""
-        job.mark_dispatched(self.env.now, self.partition)
+        job.mark_dispatched(self.env._now, self.partition)
         self.pending.append(job)
         self._try_launch()
-        self._observe_load()
-
-    def _observe_load(self):
-        tel = self.env.telemetry
-        if tel is not None:
-            pid = self.partition.partition_id
-            tel.metrics.gauge(f"sched.part{pid}.active").set(len(self.active))
-            tel.metrics.gauge(f"sched.part{pid}.pending").set(
-                len(self.pending)
-            )
+        if self._probe is not None:
+            self._probe.load(len(self.active), len(self.pending))
 
     # -- launch -----------------------------------------------------------
     def _try_launch(self):
@@ -99,42 +97,43 @@ class PartitionScheduler:
                           active=len(self.active), limit=limit)
 
     def _launch(self, job):
+        env = self.env
+        partition = self.partition
         app = job.application
-        num_processes = app.num_processes(self.partition.size)
+        size = len(partition.node_ids)
+        num_processes = app.num_processes(size)
         job.num_processes = num_processes
-        quantum = self.policy.quantum_for(
-            num_processes, self.partition.size, self.config
-        )
+        quantum = self.policy.quantum_for(num_processes, size, self.config)
         if self.placement == "staggered":
-            offset = self._launched % self.partition.size
+            offset = self._launched % size
         else:
             offset = 0
         ctx = ExecutionContext(
-            self.env, job, self.partition, self.config, quantum=quantum,
+            env, job, partition, self.config, quantum=quantum,
             placement_offset=offset,
         )
         self._launched += 1
-        if (getattr(self.policy, "gang", False)
-                and self._gang_active is not None
+        # Only the gang rotator sets ``_gang_active``, so testing it
+        # first keeps the policy lookup off every other launch.
+        if (self._gang_active is not None
+                and getattr(self.policy, "gang", False)
                 and self._gang_active != job.job_id):
             # Park the newcomer's computation until its first slot.
-            for node in self.partition.nodes.values():
+            for node in partition.nodes.values():
                 if job.job_id not in node.cpu._paused:
                     node.cpu.pause_tag(job.job_id)
-        tel = self.env.telemetry
-        if tel is not None and job.submitted_at is not None:
-            tel.metrics.histogram("sched.allocation_wait").observe(
-                self.env.now - job.submitted_at
-            )
+        probe = self._probe
+        if probe is not None and job.submitted_at is not None:
+            probe.launched(env._now - job.submitted_at)
         led = self._led
         if led is not None:
             led.record("partition", "launch", self.placement,
-                       f"part{self.partition.partition_id}",
+                       f"part{partition.partition_id}",
                        job=job.job_id, processes=num_processes,
                        quantum=quantum, offset=offset,
                        active=len(self.active))
-        job.mark_started(self.env.now)
-        proc = self.env.process(
+        job.mark_started(env._now)
+        proc = env.process(
             self._job_body(job, app, ctx), name=f"{job.name}-app"
         )
         self.active[job.job_id] = (job, proc, ctx)
@@ -148,24 +147,22 @@ class PartitionScheduler:
         time-sharing all batch jobs load at once, so this is where the
         paper's start-up burst serialises.
         """
-        from repro.transputer.cpu import HIGH
-
-        coordinator = self.partition.node(ctx.place(0))
-        if self.host_link is not None and app.load_bytes > 0:
-            yield self.host_link.transmit(app.load_bytes)
-            yield coordinator.cpu.execute(
+        host_link = self.host_link
+        if host_link is not None and app.load_bytes > 0:
+            yield host_link.transmit(app.load_bytes)
+            yield ctx.node(0).cpu.execute(
                 self.config.copy_time(app.load_bytes)
                 + self.config.message_overhead,
                 HIGH, tag="host",
             )
         yield from app.run(ctx)
-        if self.host_link is not None and app.result_bytes > 0:
-            yield coordinator.cpu.execute(
+        if host_link is not None and app.result_bytes > 0:
+            yield ctx.node(0).cpu.execute(
                 self.config.copy_time(app.result_bytes)
                 + self.config.message_overhead,
                 HIGH, tag="host",
             )
-            yield self.host_link.transmit(app.result_bytes)
+            yield host_link.transmit(app.result_bytes)
 
     # -- gang scheduling ----------------------------------------------------
     def _gang_rotator(self):
@@ -210,21 +207,23 @@ class PartitionScheduler:
 
     def _completion_handler(self, job, ctx):
         def on_done(event):
-            if not event.ok:
+            if not event._ok:
                 # Application failure: leave the event un-defused so the
                 # kernel surfaces the exception instead of hanging the
                 # batch with a half-finished job.
                 return
             ctx.release_all()
-            job.mark_completed(self.env.now)
+            job.mark_completed(self.env._now)
             self.active.pop(job.job_id, None)
             if self.collect_jobs:
                 self.completed_jobs.append(job)
             else:
                 for node in self.partition.nodes.values():
                     node.local_scheduler.forget_job(job.job_id)
-            self._try_launch()
-            self._observe_load()
+            if self.pending:
+                self._try_launch()
+            if self._probe is not None:
+                self._probe.load(len(self.active), len(self.pending))
             if self.on_job_complete is not None:
                 self.on_job_complete(self, job)
         return on_done
@@ -232,3 +231,40 @@ class PartitionScheduler:
     def __repr__(self):
         return (f"<PartitionScheduler part={self.partition.partition_id} "
                 f"active={len(self.active)} pending={len(self.pending)}>")
+
+
+class _PartitionProbe:
+    """A partition scheduler's instruments; ``None`` when telemetry is off.
+
+    The load gauges' names are built once.  Each instrument is bound on
+    first use, never at construction: a gauge's time average starts
+    when it is created.
+    """
+
+    __slots__ = ("metrics", "active_name", "pending_name", "_active",
+                 "_pending", "_allocation_wait")
+
+    def __init__(self, metrics, partition_id):
+        self.metrics = metrics
+        self.active_name = f"sched.part{partition_id}.active"
+        self.pending_name = f"sched.part{partition_id}.pending"
+        self._active = self._pending = self._allocation_wait = None
+
+    def load(self, active, pending):
+        """The partition's running and held-back job counts."""
+        gauge = self._active
+        if gauge is None:
+            gauge = self._active = self.metrics.gauge(self.active_name)
+        gauge.set(active)
+        gauge = self._pending
+        if gauge is None:
+            gauge = self._pending = self.metrics.gauge(self.pending_name)
+        gauge.set(pending)
+
+    def launched(self, wait):
+        """A job's wait from submission to launch."""
+        hist = self._allocation_wait
+        if hist is None:
+            hist = self._allocation_wait = self.metrics.histogram(
+                "sched.allocation_wait")
+        hist.observe(wait)

@@ -39,10 +39,15 @@ class SuperScheduler:
             fly under the dynamic policy.
         """
         self.env = env
-        #: Decision ledger bound at construction (attached in
-        #: ``system.build()`` before schedulers exist); None when off.
+        #: Decision ledger and telemetry instruments bound at
+        #: construction (both are attached in ``system.build()`` before
+        #: schedulers exist); None when off.
         self._led = getattr(env, "decisions", None)
+        tel = env.telemetry
+        self._probe = _SuperProbe(tel.metrics) if tel is not None else None
         self.policy = policy
+        #: The policy's queue discipline, bound once (static policies).
+        self._select = getattr(policy, "select_next", None)
         self.config = config
         self.partitions = list(partitions or [])
         self.ready_queue = deque()
@@ -73,24 +78,20 @@ class SuperScheduler:
         for part in self.partitions:
             part.scheduler.on_job_complete = self._on_job_complete
 
-    # -- telemetry ---------------------------------------------------------
-    def _observe_queue(self):
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.gauge("sched.ready_queue").set(len(self.ready_queue))
-
     # -- submission --------------------------------------------------------
     def submit(self, job):
         """Enter a job into the system at the current time."""
-        job.mark_submitted(self.env.now)
+        job.mark_submitted(self.env._now)
         self._submitted += 1
         if self.collect_jobs:
             self.jobs.append(job)
-        if self.policy.dynamic:
+        policy = self.policy
+        if policy.dynamic:
             self.ready_queue.append(job)
             self._dispatch_dynamic()
-            self._observe_queue()
-        elif self.policy.time_shared:
+            if self._probe is not None:
+                self._probe.queue(len(self.ready_queue))
+        elif policy.time_shared:
             # Equitable distribution: round-robin over partitions.
             part = self.partitions[self._rr_next % len(self.partitions)]
             self._rr_next += 1
@@ -105,7 +106,8 @@ class SuperScheduler:
         else:
             self.ready_queue.append(job)
             self._dispatch_static()
-            self._observe_queue()
+            if self._probe is not None:
+                self._probe.queue(len(self.ready_queue))
 
     def submit_batch(self, jobs):
         """Submit a batch as a unit.
@@ -121,47 +123,54 @@ class SuperScheduler:
                 self.submit(job)
             return
         for job in jobs:
-            job.mark_submitted(self.env.now)
+            job.mark_submitted(self.env._now)
             self._submitted += 1
             if self.collect_jobs:
                 self.jobs.append(job)
             self.ready_queue.append(job)
         self._dispatch_static()
-        self._observe_queue()
+        if self._probe is not None:
+            self._probe.queue(len(self.ready_queue))
 
     # -- dispatch ----------------------------------------------------------
     def _dispatch_static(self):
         led = self._led
-        while self.ready_queue:
-            free = next((p for p in self.partitions if p.scheduler.is_idle), None)
-            if free is None:
+        queue = self.ready_queue
+        select = self._select
+        while queue:
+            # The first idle partition: one with nothing pending or
+            # active (``PartitionScheduler.is_idle``, read directly).
+            for free in self.partitions:
+                sched = free.scheduler
+                if not sched.pending and not sched.active:
+                    break
+            else:
                 # One deferral record per stalled dispatch round: the
                 # queued decomposition attributes wait segments to it.
                 if led is not None:
                     led.defer("super", "super", "no_free_partition",
-                              len(self.ready_queue),
+                              len(queue),
                               busy=[p.partition_id for p in self.partitions])
                 return
-            select = getattr(self.policy, "select_next", None)
             if select is None:
                 idx = 0
-                job = self.ready_queue.popleft()
+                job = queue.popleft()
             else:
-                idx = select(self.ready_queue)
-                job = self.ready_queue[idx]
-                del self.ready_queue[idx]
+                idx = select(queue)
+                job = queue[idx]
+                del queue[idx]
             if led is not None:
                 led.record(
                     "super", "place",
                     getattr(self.policy, "discipline", "fcfs"), "super",
                     job=job.job_id, partition=free.partition_id,
-                    queue_index=idx, queue_len=len(self.ready_queue) + 1,
+                    queue_index=idx, queue_len=len(queue) + 1,
                     rejected=[
                         [p.partition_id,
                          "not_first_free" if p.scheduler.is_idle
                          else "occupied"]
                         for p in self.partitions if p is not free])
-            free.scheduler.admit(job)
+            sched.admit(job)
 
     def _dispatch_dynamic(self):
         led = self._led
@@ -215,28 +224,30 @@ class SuperScheduler:
     # -- completion --------------------------------------------------------
     def _on_job_complete(self, scheduler, job):
         self._completed += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter("sched.jobs_completed").inc()
+        probe = self._probe
+        if probe is not None:
+            probe.completed()
         for hook in self.completion_hooks:
             hook(job)
         if not self.policy.time_shared:
             self._dispatch_static()
-            self._observe_queue()
+            if probe is not None:
+                probe.queue(len(self.ready_queue))
         self._check_all_done()
 
     def _on_dynamic_job_complete(self, scheduler, job):
         self._completed += 1
-        tel = self.env.telemetry
-        if tel is not None:
-            tel.metrics.counter("sched.jobs_completed").inc()
+        probe = self._probe
+        if probe is not None:
+            probe.completed()
         part = scheduler.partition
         self.partitions.remove(part)
         self._pool.update(part.nodes)
         for hook in self.completion_hooks:
             hook(job)
         self._dispatch_dynamic()
-        self._observe_queue()
+        if probe is not None:
+            probe.queue(len(self.ready_queue))
         self._check_all_done()
 
     def finish_arrivals(self, total):
@@ -261,3 +272,32 @@ class SuperScheduler:
     def __repr__(self):
         return (f"<SuperScheduler queued={len(self.ready_queue)} "
                 f"done={self._completed}/{self._submitted}>")
+
+
+class _SuperProbe:
+    """The super scheduler's instruments; ``None`` when telemetry is off.
+
+    Each instrument is bound on first use, never at construction: a
+    gauge's time average starts when it is created.
+    """
+
+    __slots__ = ("metrics", "_queue", "_completed")
+
+    def __init__(self, metrics):
+        self.metrics = metrics
+        self._queue = self._completed = None
+
+    def queue(self, depth):
+        """The ready queue's depth after a submission or dispatch."""
+        gauge = self._queue
+        if gauge is None:
+            gauge = self._queue = self.metrics.gauge("sched.ready_queue")
+        gauge.set(depth)
+
+    def completed(self):
+        """One more job completed."""
+        counter = self._completed
+        if counter is None:
+            counter = self._completed = self.metrics.counter(
+                "sched.jobs_completed")
+        counter.inc()

@@ -321,7 +321,8 @@ class MulticomputerSystem:
         """Run an open system: jobs arrive over time instead of at t=0.
 
         ``arrivals`` is an iterable of ``(arrival_time, spec)`` with
-        non-decreasing times (see :mod:`repro.workload.arrivals`); it is
+        finite, non-decreasing times (see :mod:`repro.workload.arrivals`;
+        any other time raises ``ValueError`` when it is reached); it is
         consumed **lazily**, one arrival at a time, so a generator-backed
         10⁷-job stream is never materialised.  The run ends when every
         arrived job has completed.
@@ -360,25 +361,31 @@ class MulticomputerSystem:
         # drains and pins the realised count via finish_arrivals().
         sched.expected_jobs = math.inf
 
+        recorder = self.trace_recorder
+
         def feeder(env):
             last = 0.0
             fed = 0
             for time, spec in arrivals:
                 time = float(time)
-                if time < last:
+                # Written so that NaN fails it too: a NaN time would
+                # slip past every comparison, and an infinite one would
+                # never arrive, so the run would not end.
+                if not last <= time < math.inf:
                     raise ValueError(
-                        "arrival times must be non-decreasing")
+                        f"arrival times must be finite and non-decreasing; "
+                        f"got {time!r} after {last!r}")
                 last = time
-                if time > env.now:
-                    yield env.timeout(time - env.now)
+                if time > env._now:
+                    yield env.timeout(time - env._now)
                 app, size_class = self._unpack(spec)
                 job = Job(app, size_class=size_class)
-                if self.trace_recorder is not None:
-                    job.on_transition = self.trace_recorder.job_observer()
+                if recorder is not None:
+                    job.on_transition = recorder.job_observer()
                 if collect_jobs:
                     jobs.append(job)
                 if sink is not None:
-                    sink.on_job_arrival(env.now)
+                    sink.on_job_arrival(env._now)
                 sched.submit(job)
                 fed += 1
             if not fed:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -47,6 +48,10 @@ from repro.experiments.report import (
 ABLATION_NAMES = ("discipline", "gang", "host", "memory", "placement",
                   "quantum", "routing", "rrprocess", "treedist",
                   "variance", "wormhole")
+
+#: The ``steady --policies`` names: the keys of
+#: ``repro.experiments.steady.POLICIES``, spelled out for the same reason.
+STEADY_POLICIES = ("static", "ts")
 
 #: ``--sample-every`` default: ``repro.obs.kernelprof.DEFAULT_SAMPLE_EVERY``.
 DEFAULT_SAMPLE_EVERY = 64
@@ -282,6 +287,8 @@ def _parse_args(argv):
     if args.ablation not in (None, "all", *ABLATION_NAMES):
         parser.error(f"unknown ablation {args.ablation!r}; choose from "
                      f"{list(ABLATION_NAMES)} or 'all'")
+    if args.command == "steady":
+        _check_steady_args(parser, args)
     if args.command not in ("diff", "steady", "hotspots", "decisions") \
             and not (args.figure or args.ablation or args.sensitivity
                      or args.topologies or args.validate):
@@ -289,6 +296,48 @@ def _parse_args(argv):
                      "decisions), --figure, --ablation, --sensitivity, "
                      "--topologies and/or --validate")
     return args
+
+
+def _check_steady_args(parser, args):
+    """Reject bad ``steady`` arguments before any cell runs.
+
+    Leaves ``args.rho`` (``None`` for the default loads) and
+    ``args.policies`` as parsed tuples.  The bounds are written so that
+    NaN fails them.  An offered load of 1 or more is allowed: the
+    stream still ends, and the queue's growth is the result.
+    """
+    if args.rho is not None:
+        rhos = []
+        for text in args.rho.split(","):
+            try:
+                rho = float(text)
+            except ValueError:
+                parser.error(f"--rho: {text.strip()!r} is not a number")
+            if not 0 < rho < math.inf:
+                parser.error(f"--rho: offered loads must be positive and "
+                             f"finite, got {text.strip()!r}")
+            rhos.append(rho)
+        args.rho = tuple(rhos)
+    policies = tuple(p.strip() for p in args.policies.split(",")
+                     if p.strip())
+    if not policies:
+        parser.error(f"--policies: name at least one of "
+                     f"{list(STEADY_POLICIES)}")
+    for policy in policies:
+        if policy not in STEADY_POLICIES:
+            parser.error(f"unknown policy {policy!r}; choose from "
+                         f"{list(STEADY_POLICIES)}")
+    args.policies = policies
+    if not 0 < args.duration < math.inf:
+        parser.error(f"--duration must be positive and finite, "
+                     f"got {args.duration!r}")
+    if args.nodes < 1:
+        parser.error(f"--nodes must be >= 1, got {args.nodes}")
+    if args.window is not None and not 0 < args.window < math.inf:
+        parser.error(f"--window must be positive and finite, "
+                     f"got {args.window!r}")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
 
 def _sweep_observer(args):
@@ -728,18 +777,11 @@ def _run_steady(args, out=None):
     out = out or sys.stdout
     from repro.experiments.steady import (
         DEFAULT_RHOS,
-        POLICIES,
         format_steady_table,
         run_steady_sweep,
     )
 
-    rhos = (tuple(float(r) for r in args.rho.split(","))
-            if args.rho else DEFAULT_RHOS)
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    for policy in policies:
-        if policy not in POLICIES:
-            raise SystemExit(f"unknown policy {policy!r}; choose from "
-                             f"{sorted(POLICIES)}")
+    rhos = args.rho or DEFAULT_RHOS
     log = None
     if args.steady_out:
         from repro.obs.steadylog import SteadyLog
@@ -757,7 +799,7 @@ def _run_steady(args, out=None):
           f"{args.nodes} nodes, {args.duration:g}s per cell", file=out)
     try:
         rows = run_steady_sweep(
-            rhos, policies, duration=args.duration, nodes=args.nodes,
+            rhos, args.policies, duration=args.duration, nodes=args.nodes,
             window=args.window, seed=args.seed, log=log,
             arrival=args.arrival, progress=progress,
             decisions=args.decisions,

@@ -178,7 +178,10 @@ def run_steady_sweep(rhos=DEFAULT_RHOS, policies=("static", "ts"), *,
                 "sound": steady["sound"],
                 "util": result.snapshot.mean_cpu_utilization,
             }
-            if policy == "static" and arrival == "poisson":
+            # The Erlang-C prediction exists only for a stable queue,
+            # offered load below one; past it the column stays empty.
+            if (policy == "static" and arrival == "poisson"
+                    and rate / service_rate < nodes):
                 row["mmc_rt"] = mmc_mean_response(rate, service_rate, nodes)
             rows.append(row)
             if progress is not None:

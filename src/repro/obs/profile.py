@@ -59,6 +59,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from repro.obs.spans import JOB_PHASES
+from repro.trace.recorder import detail_fields
 
 #: The lifecycle phase whose window gets the fine-grained decomposition.
 DECOMPOSED_PHASE = "executing"
@@ -220,6 +221,14 @@ class _JobTrace:
         self.procs = set()
 
 
+#: The detail fields :func:`_collect` reads from each kind of record.
+_JOB_FIELDS = ("job", "size")
+_SLICE_FIELDS = ("prio", "tag", "dur", "proc")
+_WAIT_FIELDS = ("tag", "dur", "kind")
+_MSG_FIELDS = ("job", "dur", "src_proc", "dst_proc")
+_MEM_FIELDS = ("job", "dur")
+
+
 def _collect(events):
     """Group trace events by job id into :class:`_JobTrace` records."""
     jobs = {}
@@ -233,59 +242,55 @@ def _collect(events):
     for e in events:
         cat = e.category
         if cat.startswith("job."):
-            d = e.detail
-            jid = d.get("job")
+            jid, size = detail_fields(e, _JOB_FIELDS)
             if jid is None:
                 continue
             jt = job(jid)
             jt.marks.setdefault(cat, e.time)
             jt.name = e.subject
-            if d.get("size") is not None:
-                jt.size_class = d["size"]
+            if size is not None:
+                jt.size_class = size
         elif cat == "cpu.slice":
-            d = e.detail
-            if d.get("prio") != "low" or not isinstance(d.get("tag"), int):
+            prio, tag, dur, proc = detail_fields(e, _SLICE_FIELDS)
+            if prio != "low" or not isinstance(tag, int):
                 continue
-            jt = job(d["tag"])
-            iv = (e.time, e.time + float(d.get("dur", 0.0)))
+            jt = job(tag)
+            iv = (e.time, e.time + float(dur or 0.0))
             jt.exec_ivals.append(iv)
-            proc = d.get("proc")
             if proc is not None:
                 jt.procs.add(proc)
                 jt.exec_by_proc.setdefault(proc, []).append(iv)
         elif cat == "cpu.wait":
-            d = e.detail
-            if not isinstance(d.get("tag"), int):
+            tag, dur, kind = detail_fields(e, _WAIT_FIELDS)
+            if not isinstance(tag, int):
                 continue
-            jt = job(d["tag"])
-            iv = (e.time, e.time + float(d.get("dur", 0.0)))
-            if d.get("kind") == "requeue":
+            jt = job(tag)
+            iv = (e.time, e.time + float(dur or 0.0))
+            if kind == "requeue":
                 jt.preempt_ivals.append(iv)
             else:
                 jt.ready_ivals.append(iv)
         elif cat == "net.msg":
-            d = e.detail
-            jid = d.get("job")
+            jid, dur, src_proc, dst_proc = detail_fields(e, _MSG_FIELDS)
             if jid is None:
                 continue
             jt = job(jid)
             sent = e.time
-            delivered = e.time + float(d.get("dur", 0.0))
+            delivered = e.time + float(dur or 0.0)
             jt.transfer_ivals.append((sent, delivered))
             jt.msgs.append({
                 "id": e.subject,
                 "sent": sent,
                 "delivered": delivered,
-                "src_proc": d.get("src_proc"),
-                "dst_proc": d.get("dst_proc"),
+                "src_proc": src_proc,
+                "dst_proc": dst_proc,
             })
         elif cat in ("mem.wait", "buf.wait"):
-            d = e.detail
-            jid = d.get("job")
+            jid, dur = detail_fields(e, _MEM_FIELDS)
             if jid is None:
                 continue
             job(jid).mem_ivals.append(
-                (e.time, e.time + float(d.get("dur", 0.0)))
+                (e.time, e.time + float(dur or 0.0))
             )
 
     for jt in jobs.values():

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.trace.recorder import detail_fields
+
 #: Lifecycle phases in order: (span name, start event, end event).
 #: This list is the single phase table shared by the span derivation,
 #: the Perfetto exporter, and the causal profiler
@@ -76,9 +78,9 @@ def job_spans(events, phases=None):
             continue
         slot = transitions.setdefault(e.subject, {})
         slot.setdefault(e.category, e.time)
-        detail = e.detail
-        if detail:
-            details.setdefault(e.subject, {}).update(detail)
+        keys = e[3]  # the record's detail, read by position
+        if keys:
+            details.setdefault(e.subject, {}).update(zip(keys, e[4:]))
     spans = []
     for subject, marks in transitions.items():
         for name, start_ev, end_ev in phases:
@@ -89,6 +91,13 @@ def job_spans(events, phases=None):
                 ))
     spans.sort(key=lambda s: (s.start, s.track, s.name))
     return spans
+
+
+#: The detail fields :func:`process_spans` reads from CPU slices and
+#: waits: the flag that selects the record, then proc, dur and tag.
+_SLICE_FIELDS = ("prio", "proc", "dur", "tag")
+_WAIT_FIELDS = ("kind", "proc", "dur", "tag")
+_DUR_FIELD = ("dur",)
 
 
 def process_spans(events):
@@ -104,24 +113,24 @@ def process_spans(events):
     """
     spans = []
     for e in events:
-        if e.category == "cpu.slice":
-            detail = e.detail
-            if detail.get("prio") != "low":
+        category = e.category
+        if category == "cpu.slice":
+            flag, proc, dur, tag = detail_fields(e, _SLICE_FIELDS)
+            if flag != "low":
                 continue
             name = "executing"
-        elif e.category == "cpu.wait":
-            detail = e.detail
-            if detail.get("kind") != "requeue":
+        elif category == "cpu.wait":
+            flag, proc, dur, tag = detail_fields(e, _WAIT_FIELDS)
+            if flag != "requeue":
                 continue
             name = "preempted"
         else:
             continue
-        proc = detail.get("proc")
         if proc is None:
             continue
-        dur = float(detail.get("dur", 0.0))
-        track = f"job{detail.get('tag')}.p{proc}"
-        args = {k: v for k, v in detail.items() if k != "dur"}
+        dur = float(dur or 0.0)
+        track = f"job{tag}.p{proc}"
+        args = {k: v for k, v in zip(e[3], e[4:]) if k != "dur"}
         spans.append(Span(name, track, e.time, e.time + dur, args=args))
     spans.sort(key=lambda s: (s.start, s.track, s.name))
     return spans
@@ -138,9 +147,9 @@ def slice_spans(events, category):
     for e in events:
         if e.category != category:
             continue
-        detail = e.detail
-        dur = float(detail.get("dur", 0.0))
-        args = {k: v for k, v in detail.items() if k != "dur"}
+        dur, = detail_fields(e, _DUR_FIELD)
+        dur = float(dur or 0.0)
+        args = {k: v for k, v in zip(e[3], e[4:]) if k != "dur"}
         spans.append(Span(category, e.subject, e.time, e.time + dur,
                           args=args))
     spans.sort(key=lambda s: (s.start, s.track))

@@ -560,13 +560,16 @@ class SteadyStateSink:
         self._advance(t)
         self.completed += 1
         self._n_sys -= 1
-        rt = job.response_time
+        # ``Job.response_time`` and ``Job.wait_time``, read without the
+        # properties: a completed job has been submitted.
+        submitted = job.submitted_at
+        rt = t - submitted
         self.response.push(rt)
         self.sketch.observe(rt)
         self.series.push(rt)
-        wait = job.wait_time
-        if wait is not None:
-            self.wait.push(wait)
+        started = job.started_at
+        if started is not None:
+            self.wait.push(started - submitted)
         if job.size_class is not None:
             cls = self.by_class.get(job.size_class)
             if cls is None:

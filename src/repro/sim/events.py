@@ -406,7 +406,8 @@ class Condition(Event):
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
-        if not self.triggered and self._evaluate(self._events, self._count):
+        if self._value is PENDING and self._evaluate(self._events,
+                                                     self._count):
             self.succeed(self._collect())
 
     def _collect(self):
@@ -417,7 +418,7 @@ class Condition(Event):
         return value
 
     def _check(self, event):
-        if self.triggered:
+        if self._value is not PENDING:  # already triggered
             if not event._ok:
                 event._defused = True
             return

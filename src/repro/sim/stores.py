@@ -166,7 +166,7 @@ class StorePut(Event):
     def __init__(self, store, item):
         super().__init__(store.env)
         self.item = item
-        self.requested_at = store.env.now
+        self.requested_at = store.env._now
         self._station = store
         self._dequeued = False
         store._enqueue_put(self)
@@ -180,7 +180,7 @@ class StoreGet(Event):
         super().__init__(store.env)
         self.filter = filter
         self.key = key
-        self.requested_at = store.env.now
+        self.requested_at = store.env._now
         self._station = store
         self._dequeued = False
         #: Arrival order among *waiting* getters of a keyed store —
@@ -307,9 +307,10 @@ class FilterStore(Store):
         super().__init__(env, capacity)
         self._key = key
         if key is not None:
-            # Master FIFO of ``[item, alive]`` entries plus a per-key
-            # index over the same entry objects.  Consumed entries are
-            # tombstoned (``alive = False``) and dropped lazily; the
+            # Master FIFO of ``[item, alive, key]`` entries plus a
+            # per-key index over the same entry objects; an item's key
+            # is extracted once, when it is stored.  Consumed entries
+            # are tombstoned (``alive = False``) and dropped lazily; the
             # master list compacts Resource-style once tombstones
             # dominate.
             self.items = None  # fail loudly on legacy-path misuse
@@ -486,7 +487,7 @@ class FilterStore(Store):
             for entry in admitted:
                 if not entry[1]:
                     continue
-                k = self._key(entry[0])
+                k = entry[2]
                 waiters = self._kwaiters.get(k)
                 get = None
                 while waiters:
@@ -541,9 +542,9 @@ class FilterStore(Store):
             served = True
 
     def _store_entry(self, item):
-        entry = [item, True]
-        self._entries.append(entry)
         k = self._key(item)
+        entry = [item, True, k]
+        self._entries.append(entry)
         index = self._by_key.get(k)
         if index is None:
             index = self._by_key[k] = deque()
@@ -568,7 +569,7 @@ class FilterStore(Store):
         entry[1] = False
         self._live -= 1
         self._dead += 1
-        k = self._key(entry[0])
+        k = entry[2]
         index = self._by_key.get(k)
         if index and index[0] is entry:
             index.popleft()
@@ -583,7 +584,7 @@ class FilterStore(Store):
         self._entries = deque(e for e in self._entries if e[1])
         by_key = {}
         for entry in self._entries:
-            k = self._key(entry[0])
+            k = entry[2]
             index = by_key.get(k)
             if index is None:
                 index = by_key[k] = deque()

@@ -37,6 +37,33 @@ def detail_keys(detail):
     return _KEYS.setdefault(keys, keys)
 
 
+#: ``{(keys, names): reader}`` for every pair :func:`detail_fields` met.
+_READERS = {}
+
+
+def detail_fields(record, names):
+    """The detail values ``names`` of ``record``, ``None`` for a name it
+    lacks: what ``record.detail.get(name)`` gives, read by position.
+
+    For consumers that read a few fields of many records: no detail dict
+    is built.  The positions are worked out once per ``(keys, names)``
+    pair, and the records of one recording site share their ``keys``.
+    """
+    keys = record[3]
+    reader = _READERS.get((keys, names))
+    if reader is None:
+        index = {key: i for i, key in enumerate(keys, 4)}
+        positions = tuple(index.get(name) for name in names)
+        if None in positions or len(positions) < 2:
+            def reader(rec, positions=positions):
+                return tuple(None if i is None else rec[i]
+                             for i in positions)
+        else:
+            reader = itemgetter(*positions)
+        _READERS[(keys, names)] = reader
+    return reader(record)
+
+
 class TraceEvent(tuple):
     """One event of the trace: what happened to whom, when.
 

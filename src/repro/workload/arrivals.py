@@ -17,12 +17,22 @@ produced one arrival at a time and never materialised (``run_open``
 consumes it incrementally).  Argument validation still happens eagerly
 at the call site, so bad parameters raise before any simulation starts;
 wrap a stream in ``list()`` when the old materialised behaviour is
-wanted.
+wanted.  The checks are written so that NaN fails them: a NaN or
+infinite rate, duration, interval or sojourn mean would otherwise give
+NaN arrival times or a stream that never ends.
 """
 
 from __future__ import annotations
 
+from math import inf
+
 from repro.workload.batch import JobSpec
+
+
+def _check_positive_finite(name, value):
+    if not 0 < value < inf:
+        raise ValueError(f"{name} must be positive and finite, "
+                         f"got {value!r}")
 
 
 def _spec_of(item):
@@ -46,15 +56,14 @@ def poisson_arrivals(rate, duration, spec_factory, rng):
     in the same order the old materialising implementation drew them,
     so a given ``rng`` seed yields the identical stream.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
+    _check_positive_finite("rate", rate)
+    _check_positive_finite("duration", duration)
+    scale = 1.0 / rate
 
     def generate():
         t = 0.0
         while True:
-            t += float(rng.exponential(1.0 / rate))
+            t += float(rng.exponential(scale))
             if t >= duration:
                 return
             yield (t, _spec_of(spec_factory(rng)))
@@ -64,8 +73,7 @@ def poisson_arrivals(rate, duration, spec_factory, rng):
 
 def uniform_arrivals(interval, count, spec_factory, rng=None):
     """Deterministic lazy stream: one arrival every ``interval`` seconds."""
-    if interval <= 0:
-        raise ValueError("interval must be positive")
+    _check_positive_finite("interval", interval)
     if count < 1:
         raise ValueError("count must be >= 1")
 
@@ -90,18 +98,17 @@ def bursty_arrivals(rate, duration, spec_factory, rng,
 
     Lazy like its siblings; validation is eager.
     """
-    if rate <= 0:
-        raise ValueError("rate must be positive")
-    if duration <= 0:
-        raise ValueError("duration must be positive")
-    if mean_on <= 0 or mean_off <= 0:
-        raise ValueError("mean_on and mean_off must be positive")
+    _check_positive_finite("rate", rate)
+    _check_positive_finite("duration", duration)
+    _check_positive_finite("mean_on", mean_on)
+    _check_positive_finite("mean_off", mean_off)
+    scale = 1.0 / rate
 
     def generate():
         t = 0.0
         on_until = float(rng.exponential(mean_on))
         while True:
-            t += float(rng.exponential(1.0 / rate))
+            t += float(rng.exponential(scale))
             while t >= on_until:
                 # Carry the residual exponential draw across the OFF
                 # gap (memorylessness makes this exact): shift the
@@ -122,8 +129,10 @@ def trace_arrivals(trace):
     out = []
     last = 0.0
     for time, item in trace:
-        if time < last:
-            raise ValueError("arrival times must be non-decreasing")
+        if not last <= time < inf:
+            raise ValueError(
+                f"arrival times must be finite and non-decreasing; "
+                f"got {time!r} after {last!r}")
         last = time
         out.append((float(time), _spec_of(item)))
     return out

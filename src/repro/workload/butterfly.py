@@ -12,7 +12,7 @@ topology-revealing workload in the library.
 from __future__ import annotations
 
 from repro.workload.application import ADAPTIVE, Application
-from repro.workload.costs import CostModel, ELEMENT_BYTES
+from repro.workload.costs import DEFAULT_COSTS, ELEMENT_BYTES
 
 
 def _is_pow2(x):
@@ -35,7 +35,7 @@ class ButterflyApplication(Application):
             raise ValueError("ops_per_element_round must be positive")
         self.n = int(n)
         self.ops_per_element_round = float(ops_per_element_round)
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COSTS
 
     def num_processes(self, partition_size):
         count = super().num_processes(partition_size)

@@ -79,3 +79,9 @@ class CostModel:
         """Even split of a payload across workers."""
         base, extra = divmod(total_bytes, num_workers)
         return [base + (1 if i < extra else 0) for i in range(num_workers)]
+
+
+#: The default constants, shared by every application built without its
+#: own model: the model is frozen, so one instance serves them all and
+#: an application costs no model of its own.
+DEFAULT_COSTS = CostModel()

@@ -17,7 +17,7 @@ and memory footprint than the adaptive one on small partitions.
 from __future__ import annotations
 
 from repro.workload.application import ADAPTIVE, Application
-from repro.workload.costs import CostModel
+from repro.workload.costs import DEFAULT_COSTS
 
 
 class MatMulApplication(Application):
@@ -36,7 +36,7 @@ class MatMulApplication(Application):
                 f"got {b_distribution!r}"
             )
         self.n = int(n)
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COSTS
         #: How matrix B reaches the workers: "flat" — the coordinator
         #: sends every worker its own copy (the paper's algorithm, which
         #: serialises ~T*n^2 bytes at the coordinator); "tree" — B

@@ -12,7 +12,7 @@ another topology-sensitive complement to the paper's workloads.
 from __future__ import annotations
 
 from repro.workload.application import ADAPTIVE, Application
-from repro.workload.costs import CostModel
+from repro.workload.costs import DEFAULT_COSTS
 
 
 class PipelineApplication(Application):
@@ -32,7 +32,7 @@ class PipelineApplication(Application):
         self.items = int(items)
         self.ops_per_item = float(ops_per_item)
         self.item_bytes = int(item_bytes)
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COSTS
 
     def total_ops(self, num_processes):
         # Every item passes every stage.

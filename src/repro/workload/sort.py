@@ -19,7 +19,7 @@ The process count must be a power of two (binary tree).
 from __future__ import annotations
 
 from repro.workload.application import ADAPTIVE, Application
-from repro.workload.costs import CostModel
+from repro.workload.costs import DEFAULT_COSTS
 
 
 def _is_pow2(x):
@@ -44,7 +44,7 @@ class SortApplication(Application):
         if not _is_pow2(fixed_processes):
             raise ValueError("fixed_processes must be a power of two")
         self.n = int(n)
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COSTS
 
     def num_processes(self, partition_size):
         count = super().num_processes(partition_size)

@@ -17,7 +17,7 @@ its strip neighbours between iterations.
 from __future__ import annotations
 
 from repro.workload.application import ADAPTIVE, Application
-from repro.workload.costs import CostModel, ELEMENT_BYTES
+from repro.workload.costs import DEFAULT_COSTS, ELEMENT_BYTES
 
 
 class StencilApplication(Application):
@@ -37,7 +37,7 @@ class StencilApplication(Application):
         self.n = int(n)
         self.iterations = int(iterations)
         self.points = points
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COSTS
 
     def total_ops(self, num_processes):
         return float(self.points) * self.n * self.n * self.iterations

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 
 from repro.workload.application import ADAPTIVE, Application
-from repro.workload.costs import CostModel
+from repro.workload.costs import DEFAULT_COSTS
 
 
 class SyntheticForkJoin(Application):
@@ -37,7 +37,7 @@ class SyntheticForkJoin(Application):
             raise ValueError("message_bytes must be >= 0")
         self.total_ops_value = float(total_ops)
         self.message_bytes = int(message_bytes)
-        self.costs = costs or CostModel()
+        self.costs = costs or DEFAULT_COSTS
 
     def total_ops(self, num_processes):
         return self.total_ops_value

@@ -104,3 +104,56 @@ def test_cli_steady_smoke(tmp_path, capsys):
 def test_cli_steady_rejects_unknown_policy(tmp_path):
     with pytest.raises(SystemExit):
         main(["steady", "--policies", "nope", "--duration", "5"])
+
+
+def test_cli_policy_names_match_the_engine():
+    """The parser's spelled-out policy names are the engine's keys."""
+    from repro.experiments import cli
+
+    assert cli.STEADY_POLICIES == tuple(sorted(POLICIES))
+
+
+_BAD_STEADY_ARGS = [
+    (["--rho", "abc"], "--rho: 'abc' is not a number"),
+    (["--rho", "0.5,0"], "offered loads must be positive and finite"),
+    (["--rho", "nan"], "offered loads must be positive and finite"),
+    (["--rho", "inf"], "offered loads must be positive and finite"),
+    (["--duration", "0"], "--duration must be positive and finite"),
+    (["--duration", "nan"], "--duration must be positive and finite"),
+    (["--nodes", "0"], "--nodes must be >= 1"),
+    (["--window", "-1"], "--window must be positive and finite"),
+    (["--window", "nan"], "--window must be positive and finite"),
+    (["--policies", "nope"], "unknown policy 'nope'"),
+    (["--policies", "static,nope"], "unknown policy 'nope'"),
+    (["--policies", ","], "--policies: name at least one of"),
+    (["--seed", "-1"], "--seed must be >= 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _BAD_STEADY_ARGS,
+                         ids=["=".join(argv) for argv, _ in _BAD_STEADY_ARGS])
+def test_cli_steady_rejects_bad_arguments_before_any_cell(argv, message,
+                                                         capsys):
+    """Each bad argument fails at parsing, exit 2 with nothing on
+    stdout; before, some raised from inside the model after earlier
+    cells had run, and ``--rho abc`` ended in a traceback."""
+    with pytest.raises(SystemExit) as exc:
+        main(["steady", *argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_steady_overloaded_static_cell_has_no_mmc_column(capsys):
+    """At rho >= 1 the M/M/c queue is unstable: the static cell still
+    runs and the prediction column reads "—" instead of crashing the
+    sweep after the cell."""
+    rows = run_steady_sweep((1.5,), ("static",), duration=5.0, nodes=4,
+                            seed=5)
+    assert rows[0]["jobs"] > 0 and "mmc_rt" not in rows[0]
+    assert main(["steady", "--rho", "1.5", "--policies", "static",
+                 "--duration", "5"]) in (0, 1)
+    table_line = [line for line in capsys.readouterr().out.splitlines()
+                  if line.strip().startswith("static")][-1]
+    assert "—" in table_line

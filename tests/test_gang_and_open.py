@@ -1,5 +1,7 @@
 """Tests for the extensions: gang scheduling and the open-arrival mode."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from repro.workload import (
     JobSpec,
     MatMulApplication,
     SyntheticForkJoin,
+    bursty_arrivals,
     poisson_arrivals,
     standard_batch,
     trace_arrivals,
@@ -178,6 +181,59 @@ def test_poisson_arrivals_rate():
     assert times == sorted(times)
     with pytest.raises(ValueError):
         poisson_arrivals(0, 10, lambda r: JobSpec(app, "s"), rng)
+
+
+def _spec(rng=None):
+    return JobSpec(SyntheticForkJoin(1e4), "s")
+
+
+def _rng():
+    return np.random.default_rng(0)
+
+
+#: One bad stream per parameter, keyed ``<stream>-<parameter>``.
+_STREAM_PARAMETERS = {
+    "poisson-rate": lambda v: poisson_arrivals(v, 10.0, _spec, _rng()),
+    "poisson-duration": lambda v: poisson_arrivals(1.0, v, _spec, _rng()),
+    "bursty-rate": lambda v: bursty_arrivals(v, 10.0, _spec, _rng()),
+    "bursty-duration": lambda v: bursty_arrivals(1.0, v, _spec, _rng()),
+    "bursty-mean_on": lambda v: bursty_arrivals(1.0, 10.0, _spec, _rng(),
+                                                mean_on=v),
+    "bursty-mean_off": lambda v: bursty_arrivals(1.0, 10.0, _spec, _rng(),
+                                                 mean_off=v),
+    "uniform-interval": lambda v: uniform_arrivals(v, 3, _spec),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("case", sorted(_STREAM_PARAMETERS))
+def test_arrival_streams_reject_non_finite_parameters(case, value):
+    """A NaN parameter used to give NaN arrival times, and an infinite
+    rate or duration a stream that never ends; both raise at the call."""
+    param = case.split("-")[1]
+    with pytest.raises(ValueError,
+                       match=f"{param} must be positive and finite"):
+        _STREAM_PARAMETERS[case](value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.5],
+                         ids=["nan", "inf", "negative", "decreasing"])
+def test_trace_arrivals_rejects_non_finite_or_decreasing_times(bad):
+    with pytest.raises(ValueError, match="finite and non-decreasing"):
+        trace_arrivals([(1.0, _spec()), (bad, _spec())])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.5],
+                         ids=["nan", "inf", "negative", "decreasing"])
+def test_run_open_feeder_rejects_non_finite_or_decreasing_times(bad):
+    """The feeder checks each time as it is reached: a NaN time used to
+    pass its ``time < last`` test, and an infinite one to stall the run
+    for ever."""
+    cfg = SystemConfig(num_nodes=4, topology="linear",
+                       transputer=ideal_transputer())
+    system = MulticomputerSystem(cfg, StaticSpaceSharing(1))
+    with pytest.raises(ValueError, match="finite and non-decreasing"):
+        system.run_open(iter([(1.0, _spec()), (bad, _spec())]))
 
 
 def test_run_open_measures_from_arrival():

@@ -18,6 +18,7 @@ from repro.experiments.runner import enumerate_cells, run_cell
 from repro.obs.metrics import FrozenGauge, Gauge
 from repro.sim import Environment
 from repro.trace import TraceEvent, TraceRecorder
+from repro.trace.recorder import detail_fields
 
 #: Detail keys, in order, of the dict each fixed recording site used to
 #: build for its records.
@@ -178,3 +179,19 @@ def test_gauge_without_series_has_no_samples():
     gauge.set(2.0)
     assert gauge.samples is None
     assert "points" not in gauge.to_dict()
+
+
+def test_detail_fields_read_what_the_detail_view_holds(recorded):
+    """``detail_fields`` gives ``detail.get(name)`` for each name, by
+    position, on every record of a recorded run, for present and absent
+    names alike, and on a record built without detail."""
+    names = (("dur", "tag", "proc"), ("job", "size", "absent"),
+             ("kind", "prio"))
+    for e in recorded.recorder:
+        detail = e.detail
+        for wanted in names:
+            assert detail_fields(e, wanted) == tuple(
+                detail.get(name) for name in wanted)
+    bare = TraceEvent(1.0, "cpu.slice", "n0")
+    assert detail_fields(bare, ("dur", "tag")) == (None, None)
+    assert detail_fields(bare, ("dur",)) == (None,)

@@ -4,8 +4,9 @@ The cases serialise what the reproduction reports, at smoke scale:
 every Figure 3-6 grid cell with all its ``GridCell`` fields, the
 per-job response times of every system run behind those cells (both
 static FCFS orderings and the time-sharing run, jobs in batch
-position), one cell of the steady-state smoke sweep, and the numbers of
-the ``--validate`` table.  Each document is written as canonical JSON
+position), one cell of the steady-state smoke sweep, a static steady
+cell near saturation, a shortest-job-first open run with telemetry and
+the decision ledger on, and the numbers of the ``--validate`` table.  Each document is written as canonical JSON
 (sorted keys, floats by ``repr``) and its SHA-256 digest is pinned
 below, so any change to a simulated result fails here, down to the last
 bit of a float.  A speed change must leave every digest alone; only a
@@ -46,6 +47,10 @@ GOLDEN = {
         "da4de01bc3a68905d7ef66ebfaa2c713c091db52fc2d143bc2a85be36ba68a18",
     "steady-ts":
         "30d6b8179f8b4ff1a755ea16b45ccbac13f4d0888c4947a006b9208ec48aa477",
+    "steady-static-busy":
+        "c77248e0ed228a66e6f1d141a60891c15c17bd69db277ffb7cbad49847e21b7c",
+    "open-sjf":
+        "c521dc58e560be081762439ec3b678d048a4219cc674f2120f63d3b02ce33b04",
     "validate":
         "002c839c9081541ac67657de338f08f01befe7d5a3114a1311ad1bbbc68da29c",
 }
@@ -97,6 +102,51 @@ def _steady_doc():
             "snapshot": dataclasses.asdict(result.snapshot)}
 
 
+def _steady_static_busy_doc():
+    # The static cell near saturation: at rho = 0.95 on four
+    # single-node partitions the global ready queue stays non-empty
+    # for long stretches, so jobs are dispatched from the queue head
+    # at completions rather than on arrival.
+    from repro.experiments.steady import DEFAULT_MEAN_OPS, steady_cell
+
+    rate = 0.95 * 4 * 3.3e5 / DEFAULT_MEAN_OPS
+    result = steady_cell("static", rate, 60.0, nodes=4, seed=7)
+    return {"summary": result.to_dict(),
+            "snapshot": dataclasses.asdict(result.snapshot)}
+
+
+def _open_sjf_doc():
+    # A shortest-job-first static open run with telemetry and the
+    # decision ledger on: ``select_next`` picks from a queue of
+    # several jobs, and the scheduler tiers' gauges, histograms and
+    # ledger tallies are recorded.  Per-job values are listed in
+    # arrival order; job ids come from a process-global counter and
+    # appear nowhere in the document.
+    import numpy as np
+
+    from repro.core import StaticSpaceSharing, SystemConfig
+    from repro.experiments.steady import DEFAULT_MEAN_OPS, _spec_factory
+    from repro.workload import poisson_arrivals
+
+    rate = 0.9 * 4 * 3.3e5 / DEFAULT_MEAN_OPS
+    rng = np.random.default_rng(11)
+    arrivals = poisson_arrivals(rate, 40.0, _spec_factory(DEFAULT_MEAN_OPS),
+                                rng)
+    config = SystemConfig(num_nodes=4, topology="mesh", telemetry=True,
+                          decisions=True)
+    system = MulticomputerSystem(config, StaticSpaceSharing(1, "sjf"))
+    result = system.run_open(arrivals)
+    return {
+        "jobs": [[job.submitted_at, job.started_at, job.completed_at,
+                  job.partition.partition_id, job.num_processes]
+                 for job in result.jobs],
+        "snapshot": dataclasses.asdict(result.snapshot),
+        "metrics": system.telemetry.metrics.to_dict(),
+        "ledger": system.decisions.summary(),
+        "events": [system.env.events_processed, system.env.handoffs],
+    }
+
+
 def _validate_doc():
     from repro.experiments.validation import validation_report
 
@@ -110,6 +160,8 @@ CASES = {
     "figure5": lambda: _figure_doc(5),
     "figure6": lambda: _figure_doc(6),
     "steady-ts": _steady_doc,
+    "steady-static-busy": _steady_static_busy_doc,
+    "open-sjf": _open_sjf_doc,
     "validate": _validate_doc,
 }
 
