@@ -162,11 +162,14 @@ def test_buffer_pool_backlog(benchmark):
     release.  A single waiter queue rescanned on every call pays
     O(waiters) instead and runs this scenario about ten times slower, so
     a regression to it shows as an order-of-magnitude drop (GUIDE §16).
+    The event count is fixed by the model; a change to it is a
+    behaviour change, not a speed change.
     """
     N = 16
     MESSAGE_BYTES = 32 * 1024
     MAILBOX_BYTES = 2 * 1024 * 1024
     CHECKPOINT = 1.0  # simulated seconds: the backlog is standing
+    EVENTS = 200_919
 
     def peers(me):
         return [p for p in range(N) if abs(p - me) > 1]
@@ -196,6 +199,7 @@ def test_buffer_pool_backlog(benchmark):
         return validate_kernelprof(kp.document()), depth
 
     doc, depth = benchmark(run)
+    assert doc["events"] == EVENTS
     assert depth >= 200
     assert doc["counters"]["comm.messages"] == sum(
         len(peers(i)) for i in range(N))

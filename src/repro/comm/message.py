@@ -75,12 +75,16 @@ class Packet:
 
 def fragment(message, packet_bytes):
     """Split a message into packets of at most ``packet_bytes``."""
-    total = max(message.nbytes, 1)  # zero-byte messages still carry a header
+    # Zero-byte messages still carry a header.  Sizes are clamped by
+    # comparison rather than ``max``/``min``: this runs for every message.
+    total = message.nbytes or 1
     packets = []
     offset = 0
     index = 0
     while offset < total:
-        size = min(packet_bytes, total - offset)
+        size = total - offset
+        if size > packet_bytes:
+            size = packet_bytes
         offset += size
         packets.append(Packet(message, index, size, offset >= total))
         index += 1

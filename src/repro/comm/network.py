@@ -56,11 +56,6 @@ class NetworkStats:
     #: Bytes handled per node.
     node_bytes: dict = field(default_factory=dict)
 
-    def record_hop(self, node_id, nbytes):
-        self.packet_hops += 1
-        self.node_packets[node_id] = self.node_packets.get(node_id, 0) + 1
-        self.node_bytes[node_id] = self.node_bytes.get(node_id, 0) + nbytes
-
     def hotspot(self):
         """(node_id, packets) of the busiest forwarding node, or None."""
         if not self.node_packets:
@@ -276,9 +271,19 @@ class _MessageWalker:
     completion event: it triggers with the message after delivery (via
     the environment's direct handoff when ordering permits) or fails
     with the first awaited event's failure.
+
+    Once the route is known the walker resolves, hop by hop, the link
+    the packets cross, the transit-buffer pool they wait on (``None``
+    where a hop lands on the destination: the packet goes straight
+    into the reserved reassembly region) and the CPU that runs the
+    forwarding software.  Every packet walker shares these lists, so a
+    hop looks nothing up by node id, and a route over a missing link
+    fails at the send with :meth:`TransputerNode.link_to`'s error,
+    before any packet moves.
     """
 
-    __slots__ = ("network", "message", "owner", "alloc", "path", "done")
+    __slots__ = ("network", "message", "owner", "alloc", "path", "links",
+                 "pools", "cpus", "done")
 
     def __init__(self, network, message):
         self.network = network
@@ -287,7 +292,7 @@ class _MessageWalker:
         #: charged for the mailbox reservation and every transit buffer.
         self.owner = message.job_id
         self.alloc = None
-        self.path = None
+        self.path = self.links = self.pools = self.cpus = None
         env = network.env
         self.done = Event(env)
         env.kick(self._start)
@@ -318,15 +323,16 @@ class _MessageWalker:
             return
         network = self.network
         message = self.message
-        dst_node = network.nodes[message.dst]
+        nodes = network.nodes
+        dst_node = nodes[message.dst]
+        # Reassembly space: zero-byte messages still carry a header.
+        nbytes = message.nbytes or 1
         if message.src == message.dst:
             # Self-message: no links, but the same software path and the
             # same mailbox memory demand (see paper, Section 5.2).
             message.hops = 0
             network.stats.self_messages += 1
-            request = dst_node.mailbox_memory.alloc(
-                max(message.nbytes, 1), owner=self.owner
-            )
+            request = dst_node.mailbox_memory.alloc(nbytes, self.owner)
             request.callbacks.append(self._on_self_alloc)
             return
         path = self.path = network.router.path(message.src, message.dst)
@@ -334,6 +340,15 @@ class _MessageWalker:
         kp = network._kp
         if kp is not None:
             kp.depth("comm.path_hops", message.hops)
+        links = self.links = []
+        pools = self.pools = []
+        cpus = self.cpus = []
+        node = nodes[message.src]
+        for v in path[1:]:
+            links.append(node.link_to(v))
+            node = nodes[v]
+            pools.append(None if node is dst_node else node.buffers)
+            cpus.append(node.cpu)
         # Reserve the whole message's reassembly space at the
         # destination *before* any packet leaves.  Allocating per packet
         # instead invites classic reassembly deadlock: fragments of
@@ -343,9 +358,7 @@ class _MessageWalker:
         # destination is full, which is the paper's "a message can
         # suffer a delay if [a] processor delays allocation of memory
         # for the mailbox".
-        request = dst_node.mailbox_memory.alloc(
-            max(message.nbytes, 1), owner=self.owner
-        )
+        request = dst_node.mailbox_memory.alloc(nbytes, self.owner)
         request.callbacks.append(self._on_alloc)
 
     def _on_self_alloc(self, event):
@@ -376,11 +389,14 @@ class _MessageWalker:
             return
         self.alloc = event._value
         network = self.network
-        message = self.message
-        packets = fragment(message, network.config.packet_bytes)
+        packets = fragment(self.message, network.config.packet_bytes)
         path = self.path
+        links = self.links
+        pools = self.pools
+        cpus = self.cpus
         owner = self.owner
-        done = [_PacketWalker(network, pkt, path, owner).done
+        done = [_PacketWalker(network, pkt, path, links, pools, cpus,
+                              owner).done
                 for pkt in packets]
         gather = AllOf(network.env, done)
         gather.callbacks.append(self._on_packets)
@@ -405,25 +421,31 @@ class _PacketWalker:
     function calls instead of three generator suspensions plus the
     :class:`Process` bookkeeping around them.  The walker stays alive
     between continuations through the bound-method callback parked on
-    the event it waits for.
+    the event it waits for; it keeps no bound method of its own, so it
+    sits in no reference cycle and is freed as soon as its last event is.
 
     Per hop (store-and-forward): acquire a transit buffer at the
-    receiving node (skipped on the final hop — the packet lands in the
-    message's pre-reserved reassembly region), transmit across the
-    link, release the buffer held at the previous node, then charge the
-    per-packet forwarding software to the receiving node's high-priority
-    CPU queue.  ``done`` triggers with the packet after the last hop
-    (taking the place of the old packet Process's end event, one for
-    one) or fails with the first awaited event's failure.
+    receiving node (skipped where the hop lands on the destination —
+    the packet goes into the message's pre-reserved reassembly region),
+    transmit across the link, release the buffer held at the previous
+    node, then charge the per-packet forwarding software to the
+    receiving node's high-priority CPU queue.  The hop's link, pool and
+    CPU come from the route its message walker resolved.  ``done``
+    triggers with the packet after the last hop (taking the place of
+    the old packet Process's end event, one for one) or fails with the
+    first awaited event's failure.
     """
 
-    __slots__ = ("network", "packet", "path", "owner", "hop_cost", "hop",
-                 "held", "slot", "done")
+    __slots__ = ("network", "packet", "path", "links", "pools", "cpus",
+                 "owner", "hop_cost", "hop", "held", "slot", "done")
 
-    def __init__(self, network, packet, path, owner):
+    def __init__(self, network, packet, path, links, pools, cpus, owner):
         self.network = network
         self.packet = packet
         self.path = path
+        self.links = links
+        self.pools = pools
+        self.cpus = cpus
         #: The owning job's id, charged for each transit buffer.
         self.owner = owner
         #: Forwarding software charged at every node the packet reaches:
@@ -444,25 +466,23 @@ class _PacketWalker:
         if kp is not None:
             # One batched bump per packet, not one per hop — the hop
             # count is known up front and hook calls are hot-path cost.
-            kp.count("comm.packet_hops", len(self.path) - 1)
+            kp.count("comm.packet_hops", len(self.links))
         self._next_hop()
 
     def _next_hop(self):
         hop = self.hop
-        path = self.path
-        if hop >= len(path) - 1:
-            if self.held is not None:
-                self.held.release()
+        pools = self.pools
+        if hop == len(pools):
+            # Arrived.  The last hop lands on the destination, whose
+            # pool is ``None``, so no transit buffer is held here.
             self.done.succeed(self.packet)
             return
-        v = path[hop + 1]
-        if v == path[-1]:
-            # Final hop: no transit buffer — straight to the link.
+        pool = pools[hop]
+        if pool is None:
+            # The hop lands on the destination: straight to the link.
             self._transmit(None)
             return
-        request = self.network.nodes[v].buffers.acquire(
-            hop, owner=self.owner
-        )
+        request = pool.acquire(hop, self.owner)
         request.callbacks.append(self._on_buffer)
 
     def _on_buffer(self, event):
@@ -473,32 +493,36 @@ class _PacketWalker:
         self._transmit(event._value)
 
     def _transmit(self, slot):
-        network = self.network
-        packet = self.packet
-        u = self.path[self.hop]
-        v = self.path[self.hop + 1]
         self.slot = slot
-        link = network.nodes[u].link_to(v)
-        probe = network._probe
+        link = self.links[self.hop]
+        nbytes = self.packet.nbytes
+        probe = self.network._probe
         if probe is not None:
-            probe.transfer(link, packet.nbytes)
-        link.transmit(packet.nbytes).callbacks.append(self._on_link)
+            probe.transfer(link, nbytes)
+        link.transmit(nbytes).callbacks.append(self._on_link)
 
     def _on_link(self, event):
         if not event._ok:
             event._defused = True
             self.done.fail(event._value)
             return
-        network = self.network
-        packet = self.packet
-        v = self.path[self.hop + 1]
-        network.stats.record_hop(v, packet.nbytes)
-        if self.held is not None:
-            self.held.release()
+        hop = self.hop
+        v = self.path[hop + 1]
+        nbytes = self.packet.nbytes
+        # The hop's ``NetworkStats`` update.
+        stats = self.network.stats
+        stats.packet_hops += 1
+        handled = stats.node_packets
+        handled[v] = handled.get(v, 0) + 1
+        handled = stats.node_bytes
+        handled[v] = handled.get(v, 0) + nbytes
+        held = self.held
+        if held is not None:
+            held.pool.release(held)
         self.held = self.slot
         # Per-packet forwarding/receive software at the arriving node:
         # fixed overhead plus the store-and-forward memory copy.
-        work = network.nodes[v].cpu.execute(self.hop_cost, HIGH, tag="comm")
+        work = self.cpus[hop].execute(self.hop_cost, HIGH, tag="comm")
         work.callbacks.append(self._on_cpu)
 
     def _on_cpu(self, event):

@@ -95,7 +95,8 @@ def steady_cell(policy_kind, rate, duration, *, nodes=4, topology="mesh",
     rng = np.random.default_rng(seed)
     factory = _spec_factory(mean_ops)
     arrivals = poisson_arrivals(rate, duration, factory, rng)
-    sink = SteadyStateSink(window=window or duration / 50.0, log=log)
+    sink = SteadyStateSink(
+        window=duration / 50.0 if window is None else window, log=log)
     config = SystemConfig(num_nodes=nodes, topology=topology,
                           decisions=decisions)
     system = MulticomputerSystem(config, build())
@@ -121,7 +122,8 @@ def steady_cell_bursty(policy_kind, rate, duration, *, nodes=4,
     peak = rate * (mean_on + mean_off) / mean_on
     arrivals = bursty_arrivals(peak, duration, factory, rng,
                                mean_on=mean_on, mean_off=mean_off)
-    sink = SteadyStateSink(window=window or duration / 50.0, log=log)
+    sink = SteadyStateSink(
+        window=duration / 50.0 if window is None else window, log=log)
     config = SystemConfig(num_nodes=nodes, topology=topology,
                           decisions=decisions)
     system = MulticomputerSystem(config, build())

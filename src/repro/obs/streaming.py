@@ -433,8 +433,11 @@ class SteadyStateSink:
                  max_batches=DEFAULT_MAX_BATCHES,
                  ci_batches=DEFAULT_CI_BATCHES,
                  lag1_threshold=DEFAULT_LAG1_THRESHOLD):
-        if window is not None and window <= 0:
-            raise ValueError("window must be positive")
+        # Written so that NaN fails too: with a NaN width no window
+        # would ever close.
+        if window is not None and not 0 < window < math.inf:
+            raise ValueError(f"window must be finite and positive, "
+                             f"got {window}")
         self.window = window
         self.log = log
         self.ring = deque(maxlen=ring_capacity)

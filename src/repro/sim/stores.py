@@ -34,11 +34,24 @@ _NO_KEY = object()
 _COMPACT_MIN_DEAD = 16
 
 
-def _observe_wait(env, name, event):
-    """Record how long a put/get waited, when telemetry is enabled."""
+def _wait_recorder(env):
+    """A store's put/get wait recorder, or ``None`` with telemetry off.
+
+    Bound when the store is built: observability is attached to the
+    environment before a system's components are (see ``system.build``),
+    so with telemetry off a put or get pays one ``is None`` test
+    instead of a call and an ``env.telemetry`` read.
+    """
     tel = env.telemetry
-    if tel is not None:
-        tel.metrics.histogram(name).observe(env.now - event.requested_at)
+    if tel is None:
+        return None
+    histogram = tel.metrics.histogram
+
+    def observe(name, event):
+        """Record how long ``event`` waited under histogram ``name``."""
+        histogram(name).observe(env._now - event.requested_at)
+
+    return observe
 
 
 class ContainerPut(Event):
@@ -49,7 +62,7 @@ class ContainerPut(Event):
             raise ValueError(f"put amount must be positive, got {amount}")
         super().__init__(container.env)
         self.amount = amount
-        self.requested_at = container.env.now
+        self.requested_at = container.env._now
         self._station = container
         self._dequeued = False
         container._put_waiters.append(self)
@@ -64,7 +77,7 @@ class ContainerGet(Event):
             raise ValueError(f"get amount must be positive, got {amount}")
         super().__init__(container.env)
         self.amount = amount
-        self.requested_at = container.env.now
+        self.requested_at = container.env._now
         self._station = container
         self._dequeued = False
         container._get_waiters.append(self)
@@ -91,6 +104,7 @@ class Container:
         if not 0 <= init <= capacity:
             raise ValueError("init must lie in [0, capacity]")
         self.env = env
+        self._observe_wait = _wait_recorder(env)
         self._capacity = capacity
         self._level = init
         self._put_waiters = deque()
@@ -141,7 +155,8 @@ class Container:
                 if head.amount <= self._level:
                     gets.popleft()
                     self._level -= head.amount
-                    _observe_wait(self.env, "store.container_wait", head)
+                    if self._observe_wait is not None:
+                        self._observe_wait("store.container_wait", head)
                     head.succeed(head.amount)
                     progressed = True
             puts = self._put_waiters
@@ -152,7 +167,8 @@ class Container:
                 if self._level + head.amount <= self._capacity:
                     puts.popleft()
                     self._level += head.amount
-                    _observe_wait(self.env, "store.container_wait", head)
+                    if self._observe_wait is not None:
+                        self._observe_wait("store.container_wait", head)
                     head.succeed(head.amount)
                     progressed = True
 
@@ -196,6 +212,7 @@ class Store:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.env = env
+        self._observe_wait = _wait_recorder(env)
         self._capacity = capacity
         self.items = deque()
         self._put_waiters = deque()
@@ -260,7 +277,8 @@ class Store:
                     break
                 puts.popleft()
                 self.items.append(put.item)
-                _observe_wait(self.env, "store.put_wait", put)
+                if self._observe_wait is not None:
+                    self._observe_wait("store.put_wait", put)
                 put.succeed()
                 progressed = True
             # Serve gets while items are available.
@@ -279,7 +297,8 @@ class Store:
             if not items:
                 break
             waiters.popleft()
-            _observe_wait(self.env, "store.get_wait", get)
+            if self._observe_wait is not None:
+                self._observe_wait("store.get_wait", get)
             get.succeed(items.popleft())
             served = True
         return served
@@ -380,7 +399,8 @@ class FilterStore(Store):
                 continue
             del waiters[i]
             items.remove(matched)
-            _observe_wait(self.env, "store.get_wait", get)
+            if self._observe_wait is not None:
+                self._observe_wait("store.get_wait", get)
             get.succeed(matched)
             served = True
         return served
@@ -395,7 +415,8 @@ class FilterStore(Store):
             self._put_waiters.append(put)
             return
         entry = self._store_entry(put.item)
-        _observe_wait(self.env, "store.put_wait", put)
+        if self._observe_wait is not None:
+            self._observe_wait("store.put_wait", put)
         put.succeed()
         self._serve_admitted([entry])
         # Serving may have freed room for queued puts only when it
@@ -435,7 +456,8 @@ class FilterStore(Store):
                 self._pwaiters.append(get)
                 return
         item = self._consume(entry)
-        _observe_wait(self.env, "store.get_wait", get)
+        if self._observe_wait is not None:
+            self._observe_wait("store.get_wait", get)
         get.succeed(item)
         self._trigger()  # the freed capacity may admit queued puts
 
@@ -465,7 +487,8 @@ class FilterStore(Store):
                 if admitted is None:
                     admitted = []
                 admitted.append(entry)
-                _observe_wait(self.env, "store.put_wait", put)
+                if self._observe_wait is not None:
+                    self._observe_wait("store.put_wait", put)
                 put.succeed()
                 progressed = True
             if admitted and self._serve_admitted(admitted):
@@ -537,7 +560,8 @@ class FilterStore(Store):
             else:
                 self._pwaiters.remove(best)
             item = self._consume(best_entry)
-            _observe_wait(self.env, "store.get_wait", best)
+            if self._observe_wait is not None:
+                self._observe_wait("store.get_wait", best)
             best.succeed(item)
             served = True
 

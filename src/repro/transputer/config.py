@@ -151,14 +151,23 @@ class TransputerConfig:
             raise ValueError("buffer_pool_bytes must fit in memory_bytes")
         if not 0 <= self.os_reserved_bytes < self.memory_bytes:
             raise ValueError("os_reserved_bytes must fit in memory_bytes")
-        if self.copy_bytes_per_second <= 0:
-            raise ValueError("copy_bytes_per_second must be positive")
-        if self.link_bandwidth <= 0:
-            raise ValueError("link_bandwidth must be positive")
+        # The transport checks follow the same rule: a NaN or infinite
+        # time would only fail at the first send or hop, as an invalid
+        # timeout or a non-finite CPU burst.
+        for name in ("copy_bytes_per_second", "link_bandwidth",
+                     "host_bandwidth"):
+            value = getattr(self, name)
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
         if self.packet_bytes <= 0:
             raise ValueError("packet_bytes must be positive")
         if self.buffers_per_class < 1:
             raise ValueError("buffers_per_class must be >= 1")
-        if self.link_startup < 0:
-            raise ValueError("link_startup must be non-negative")
+        for name in ("link_startup", "hop_software_overhead",
+                     "message_overhead", "host_startup",
+                     "wormhole_hop_latency"):
+            value = getattr(self, name)
+            if not 0 <= value < inf:
+                raise ValueError(f"{name} must be finite and non-negative, "
+                                 f"got {value}")
         return self

@@ -35,7 +35,7 @@ from heapq import heappush
 from math import inf
 
 from repro.sim import Event
-from repro.sim.events import NORMAL_KEY
+from repro.sim.events import NORMAL_KEY, PENDING
 
 #: Priority levels (match the two hardware ready queues).
 HIGH = 0
@@ -65,7 +65,13 @@ class WorkRequest(Event):
 
     def __init__(self, cpu, work_seconds, priority, quantum, tag, proc=None):
         env = cpu.env
-        super().__init__(env)
+        # The five ``Event`` slots, set here without the
+        # ``Event.__init__`` call: one request per burst and per hop.
+        self.env = env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.priority = priority
         self.remaining = float(work_seconds)
         self.quantum = quantum
@@ -221,8 +227,7 @@ class Cpu:
         if not 0 < quantum < inf:
             raise ValueError(f"quantum must be finite and positive, "
                              f"got {quantum}")
-        req = WorkRequest(self, work_seconds, priority, quantum, tag,
-                          proc=proc)
+        req = WorkRequest(self, work_seconds, priority, quantum, tag, proc)
         if work_seconds <= _EPS:
             # Zero-length bursts complete immediately without dispatching.
             req.started_at = self.env._now

@@ -15,6 +15,7 @@ per hop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 
 @dataclass
@@ -38,10 +39,13 @@ class Link:
     """Unidirectional FIFO link from ``src`` to ``dst``."""
 
     def __init__(self, env, src, dst, bandwidth, startup=0.0):
-        if bandwidth <= 0:
-            raise ValueError("bandwidth must be positive")
-        if startup < 0:
-            raise ValueError("startup must be >= 0")
+        # Written so that NaN fails both checks: a NaN delay would
+        # otherwise surface as an invalid timeout deep in the event loop.
+        if not bandwidth > 0:
+            raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+        if not 0 <= startup < inf:
+            raise ValueError(f"startup must be finite and >= 0, "
+                             f"got {startup}")
         self.env = env
         self.src = src
         self.dst = dst
@@ -53,7 +57,9 @@ class Link:
     @property
     def backlog(self):
         """Seconds of queued transmission ahead of a new arrival."""
-        return max(0.0, self._ready_at - self.env.now)
+        wait = self._ready_at - self.env._now
+        # max(0.0, wait), without the builtin call (NaN gives 0.0 too).
+        return wait if wait > 0.0 else 0.0
 
     def transmit(self, nbytes):
         """Queue ``nbytes`` for transmission; event fires at delivery.
@@ -62,15 +68,19 @@ class Link:
         """
         if nbytes < 0:
             raise ValueError("nbytes must be >= 0")
-        now = self.env.now
-        wait = max(0.0, self._ready_at - now)
+        env = self.env
+        now = env._now
+        wait = self._ready_at - now
+        if not wait > 0.0:
+            wait = 0.0
         service = self.startup + nbytes / self.bandwidth
-        self._ready_at = now + wait + service
-        self.stats.transfers += 1
-        self.stats.bytes_carried += nbytes
-        self.stats.busy_time += service
-        self.stats.queue_time += wait
-        return self.env.timeout(wait + service, value=self._ready_at)
+        ready = self._ready_at = now + wait + service
+        stats = self.stats
+        stats.transfers += 1
+        stats.bytes_carried += nbytes
+        stats.busy_time += service
+        stats.queue_time += wait
+        return env.timeout(wait + service, ready)
 
     def __repr__(self):
         return f"<Link {self.src}->{self.dst} backlog={self.backlog:.6f}s>"

@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from repro.sim import Event
+from repro.sim.events import PENDING, Event
 
 #: Detail keys of the allocator probes' trace records.
 _MEM_WAIT_KEYS = ("dur", "node", "region", "job", "nbytes")
@@ -57,7 +57,13 @@ class AllocRequest(Event):
     __slots__ = ("nbytes", "owner")
 
     def __init__(self, mmu, nbytes, owner=None):
-        super().__init__(mmu.env)
+        # The five ``Event`` slots, set here without the
+        # ``Event.__init__`` call: one request per allocation.
+        self.env = mmu.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.nbytes = nbytes
         #: Job id the allocation is charged to (telemetry only).
         self.owner = owner
@@ -122,17 +128,19 @@ class Mmu:
         nbytes = int(nbytes)
         if nbytes <= 0:
             raise ValueError(f"nbytes must be positive, got {nbytes}")
-        req = AllocRequest(self, nbytes, owner=owner)
-        if nbytes > self.capacity:
+        req = AllocRequest(self, nbytes, owner)
+        capacity = self.capacity
+        if nbytes > capacity:
             req.fail(
                 MemoryError_(
                     f"request of {nbytes}B exceeds node memory "
-                    f"({self.capacity}B) on node {self.node_id!r}"
+                    f"({capacity}B) on node {self.node_id!r}"
                 )
             )
             return req
-        self._waiters.append((req, self.env.now))
-        if len(self._waiters) > 1 or nbytes > self.available:
+        waiters = self._waiters
+        waiters.append((req, self.env._now))
+        if len(waiters) > 1 or nbytes > capacity - self._in_use:
             self.stats.blocked_allocs += 1
         self._drain()
         return req
@@ -148,21 +156,27 @@ class Mmu:
         self._drain()
 
     def _drain(self):
+        waiters = self._waiters
+        stats = self.stats
         probe = self._probe
-        while self._waiters:
-            req, t0 = self._waiters[0]
-            if req.nbytes > self.available:
+        while waiters:
+            req, t0 = waiters[0]
+            nbytes = req.nbytes
+            in_use = self._in_use + nbytes
+            if in_use > self.capacity:
                 return
-            self._waiters.popleft()
-            self._in_use += req.nbytes
-            self.stats.peak_in_use = max(self.stats.peak_in_use, self._in_use)
-            self.stats.total_allocs += 1
-            self.stats.bytes_allocated += req.nbytes
-            wait = self.env.now - t0
-            self.stats.total_wait_time += wait
+            waiters.popleft()
+            self._in_use = in_use
+            if in_use > stats.peak_in_use:
+                stats.peak_in_use = in_use
+            stats.total_allocs += 1
+            stats.bytes_allocated += nbytes
+            now = self.env._now
+            wait = now - t0
+            stats.total_wait_time += wait
             if probe is not None:
-                probe.grant(req, t0, wait, self._in_use)
-            req.succeed(Allocation(self, req.nbytes, self.env.now))
+                probe.grant(req, t0, wait, in_use)
+            req.succeed(Allocation(self, nbytes, now))
 
 
 class _MmuProbe:
@@ -209,7 +223,13 @@ class BufferRequest(Event):
     __slots__ = ("hop_class", "owner")
 
     def __init__(self, pool, hop_class, owner=None):
-        super().__init__(pool.env)
+        # The five ``Event`` slots, set here without the
+        # ``Event.__init__`` call: one request per packet hop.
+        self.env = pool.env
+        self.callbacks = []
+        self._value = PENDING
+        self._ok = None
+        self._defused = False
         self.hop_class = hop_class
         #: Job id of the in-transit message (telemetry only).
         self.owner = owner
@@ -300,18 +320,22 @@ class BufferPool:
         """Request a buffer for a packet that has travelled ``hop_class`` hops."""
         if hop_class < 0:
             raise ValueError("hop_class must be >= 0")
-        hop_class = min(hop_class, self.num_classes - 1)
-        req = BufferRequest(self, hop_class, owner=owner)
-        now = self.env.now
+        top = self.num_classes - 1
+        if hop_class > top:
+            hop_class = top
+        req = BufferRequest(self, hop_class, owner)
+        now = self.env._now
         # Between calls no queued waiter is eligible: a request queues
         # only when it is not, and ``release`` drains until none is.  So
         # when a class <= ``hop_class`` is free this request is the
         # oldest eligible one and is granted on the spot.
         free = self._free
-        for cls in range(hop_class, -1, -1):
+        cls = hop_class
+        while cls >= 0:
             if free[cls]:
                 self._grant(req, cls, now)
                 return req
+            cls -= 1
         self._seq += 1
         self._queues[hop_class].append((self._seq, req, now))
         self._queued += 1
@@ -357,7 +381,7 @@ class BufferPool:
         self._free[cls] -= 1
         stats = self.stats
         stats.grants += 1
-        wait = self.env.now - t0
+        wait = self.env._now - t0
         stats.total_wait_time += wait
         probe = self._probe
         if probe is not None:

@@ -168,6 +168,54 @@ def test_send_to_non_member_rejected():
         net.recv(9)
 
 
+def test_route_over_missing_link_fails_at_the_send():
+    """A message walker resolves its route's links once, so a route over
+    a missing link raises ``link_to``'s error before any packet moves:
+    no mailbox reserved, no transit buffer granted, no link crossed."""
+    env = Environment()
+    nodes, net = build(env, 4, "linear")
+    del nodes[1].links[2]
+    net.send(0, 3, 9000, tag="m")
+    with pytest.raises(ValueError, match="node 1 has no link to 2"):
+        env.run()
+    assert nodes[3].mailbox_memory.stats.total_allocs == 0
+    for node in nodes.values():
+        assert node.buffers.stats.grants == 0
+        assert all(link.stats.transfers == 0
+                   for link in node.links.values())
+
+
+def test_walkers_need_no_cyclic_gc():
+    """Message and packet walkers keep no bound method of their own, so
+    reference counting frees each one once its last event is processed:
+    with the cyclic collector off, none is left after the run."""
+    import gc
+
+    from repro.comm.network import _MessageWalker, _PacketWalker
+
+    gc.collect()
+    gc.disable()
+    try:
+        env = Environment()
+        nodes, net = build(env, 4, "linear")
+
+        def receiver(env, me, count):
+            for _ in range(count):
+                yield net.recv(me, tag="m")
+
+        for src, dst in ((0, 3), (3, 0), (1, 1), (2, 1)):
+            net.send(src, dst, 9000, tag="m")
+        for me, count in ((0, 1), (1, 2), (3, 1)):
+            env.process(receiver(env, me, count))
+        env.run()
+        assert net.stats.messages_delivered == 4
+        left = [o for o in gc.get_objects()
+                if isinstance(o, (_MessageWalker, _PacketWalker))]
+    finally:
+        gc.enable()
+    assert not left
+
+
 def test_ring_all_to_all_no_deadlock():
     """Saturating burst on a ring: the structured hop-class pool must
     prevent store-and-forward deadlock."""

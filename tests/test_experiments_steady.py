@@ -47,6 +47,23 @@ def test_steady_cell_bursty_runs():
     assert result.jobs_completed > 20
 
 
+@pytest.mark.parametrize("entry", [steady_cell, steady_cell_bursty])
+@pytest.mark.parametrize("window", [0.0, float("nan")])
+def test_steady_entry_points_reject_a_bad_window(entry, window):
+    """An explicit width reaches the sink as given: ``window=0`` used to
+    become the default width, and a NaN width emitted no window."""
+    with pytest.raises(ValueError, match="window must be finite and "
+                                         "positive"):
+        entry("static", rate=1.0, duration=5.0, window=window)
+
+
+@pytest.mark.parametrize("entry", [steady_cell, steady_cell_bursty])
+def test_steady_entry_points_default_window_is_a_fiftieth(entry):
+    assert entry("static", rate=2.0, duration=5.0).sink.window == 0.1
+    assert entry("static", rate=2.0, duration=5.0,
+                 window=0.5).sink.window == 0.5
+
+
 def test_run_steady_sweep_rows():
     rows = run_steady_sweep((0.4,), ("static", "ts"), duration=25.0,
                             nodes=4, seed=5)

@@ -422,6 +422,28 @@ def test_property_interleaved_triggers_push_the_schedule_entries(ops):
     assert next(env._seq) == next_seq
 
 
+# -- request events set their Event slots themselves ---------------------
+def test_request_events_start_in_the_state_event_init_gives():
+    """``WorkRequest``, ``BufferRequest`` and ``AllocRequest`` set the
+    ``Event`` slots without calling ``Event.__init__``: each fresh
+    request must match a fresh ``Event`` in every one of them."""
+    from repro.transputer.cpu import WorkRequest
+    from repro.transputer.memory import AllocRequest, BufferPool, \
+        BufferRequest, Mmu
+
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig())
+    pool = BufferPool(env, num_classes=2, buffers_per_class=1,
+                      buffer_bytes=64)
+    requests = [WorkRequest(cpu, 1.0, HIGH, 1.0, "tag"),
+                BufferRequest(pool, 0), AllocRequest(Mmu(env, 64), 8)]
+    fresh = Event(env)
+    for request in requests:
+        for slot in Event.__slots__:
+            assert getattr(request, slot) == getattr(fresh, slot), slot
+        assert request.callbacks is not fresh.callbacks
+
+
 # -- resource tombstones --------------------------------------------------
 def test_mass_cancellation_compacts_the_queue():
     from repro.sim import Resource

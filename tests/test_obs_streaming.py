@@ -338,6 +338,21 @@ def test_run_open_windows_partition_the_run():
         assert 0.0 <= (w.utilization or 0.0) <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("window", [0.0, -1.0, math.nan, math.inf])
+def test_sink_rejects_window_that_never_closes(window):
+    """A zero, negative, NaN or infinite width is refused at
+    construction: NaN used to pass ``window <= 0`` and no window ever
+    closed."""
+    with pytest.raises(ValueError, match="window must be finite and "
+                                         "positive"):
+        SteadyStateSink(window=window)
+
+
+def test_sink_accepts_no_window_and_finite_widths():
+    assert SteadyStateSink().window is None
+    assert SteadyStateSink(window=1e-3).window == 1e-3
+
+
 def test_run_open_lazy_rejects_bad_streams():
     app = SyntheticForkJoin(1e4)
     system = MulticomputerSystem(_open_config(), StaticSpaceSharing(4))

@@ -5,6 +5,9 @@ import pytest
 from repro.sim import Environment
 from repro.transputer import Link, TransputerConfig, TransputerNode
 
+NAN = float("nan")
+INF = float("inf")
+
 
 def test_link_transfer_time():
     env = Environment()
@@ -58,6 +61,14 @@ def test_link_rejects_bad_params():
         Link(env, 0, 1, bandwidth=0)
     with pytest.raises(ValueError):
         Link(env, 0, 1, bandwidth=10, startup=-1)
+    # NaN used to pass both checks and fail later as an invalid delay
+    # inside the event loop.
+    with pytest.raises(ValueError, match="bandwidth"):
+        Link(env, 0, 1, bandwidth=NAN)
+    with pytest.raises(ValueError, match="startup"):
+        Link(env, 0, 1, bandwidth=10, startup=NAN)
+    with pytest.raises(ValueError, match="startup"):
+        Link(env, 0, 1, bandwidth=10, startup=INF)
     link = Link(env, 0, 1, bandwidth=10)
     with pytest.raises(ValueError):
         link.transmit(-5)
@@ -127,6 +138,53 @@ def test_config_validation():
     with pytest.raises(ValueError):
         TransputerConfig(buffers_per_class=0).validate()
     assert TransputerConfig().validate() is not None
+
+
+@pytest.mark.parametrize("field, value", [
+    ("link_bandwidth", NAN),
+    ("link_bandwidth", -1.0),
+    ("link_startup", NAN),
+    ("link_startup", -1e-6),
+    ("link_startup", INF),
+    ("copy_bytes_per_second", NAN),
+    ("copy_bytes_per_second", -1.0),
+    ("hop_software_overhead", NAN),
+    ("hop_software_overhead", -1e-6),
+    ("hop_software_overhead", INF),
+    ("message_overhead", NAN),
+    ("message_overhead", -1e-6),
+    ("message_overhead", INF),
+    ("host_bandwidth", NAN),
+    ("host_bandwidth", -1.0),
+    ("host_startup", NAN),
+    ("host_startup", -1e-6),
+    ("host_startup", INF),
+    ("wormhole_hop_latency", NAN),
+    ("wormhole_hop_latency", -1e-6),
+    ("wormhole_hop_latency", INF),
+])
+def test_config_validate_rejects_bad_transport_fields(field, value):
+    """Each used to pass ``validate`` and fail only at the first send
+    or hop, ten frames deep in the event loop."""
+    with pytest.raises(ValueError, match=field):
+        TransputerConfig(**{field: value}).validate()
+
+
+def test_config_validate_accepts_infinite_transport_rates():
+    """An infinitely fast link, copy or host link is a valid (ideal)
+    model."""
+    assert TransputerConfig(link_bandwidth=INF, copy_bytes_per_second=INF,
+                            host_bandwidth=INF).validate()
+
+
+def test_bad_transport_config_fails_when_the_system_is_built():
+    from repro.core import MulticomputerSystem, SystemConfig, TimeSharing
+
+    config = SystemConfig(
+        num_nodes=4, topology="mesh",
+        transputer=TransputerConfig(hop_software_overhead=NAN))
+    with pytest.raises(ValueError, match="hop_software_overhead"):
+        MulticomputerSystem(config, TimeSharing())
 
 
 def test_config_helpers():
