@@ -3,7 +3,10 @@
 Not a paper artefact — these track the event-processing throughput of
 the DES kernel and the cost of a full system build, so performance
 regressions in the substrate are visible independently of the
-experiment harness.
+experiment harness.  Each scenario runs bare, asserts its exact
+``env.events_processed`` (fixed by the model: a change to it is a
+behaviour change, not a speed change) and prints its rate from a
+``time.perf_counter`` pair.
 """
 
 import time
@@ -11,7 +14,6 @@ import time
 from repro.comm import Network
 from repro.core import MulticomputerSystem, SystemConfig, TimeSharing
 from repro.obs import attach, attach_ledger
-from repro.obs.kernelprof import kernel_profile, validate_kernelprof
 from repro.sim import Environment, FilterStore
 from repro.topology import make_topology
 from repro.transputer import HIGH, LOW, Cpu, TransputerConfig, TransputerNode
@@ -21,36 +23,27 @@ from repro.workload import standard_batch
 def test_kernel_event_throughput(benchmark):
     """Ping-pong timeouts: raw events per second of the kernel.
 
-    Measured through the kernel self-profiler, so this microbenchmark
-    and the BENCH trajectory's ``kernel_profile`` section report the
-    same quantities under the same definitions: events and events/sec
-    on the kernel clock (wall-time inside ``step()``), plus agenda
-    push/pop counters and peak depth.
+    One process yields 20,000 timeouts: each is one agenda entry, plus
+    the process's initialisation and its completion.
     """
+    EVENTS = 20_002
 
     def run():
-        with kernel_profile() as kp:
-            env = Environment()
+        env = Environment()
 
-            def ticker(env):
-                for _ in range(20_000):
-                    yield env.timeout(1)
+        def ticker(env):
+            for _ in range(20_000):
+                yield env.timeout(1)
 
-            env.process(ticker(env))
-            env.run()
-        return validate_kernelprof(kp.document())
+        env.process(ticker(env))
+        start = time.perf_counter()
+        env.run()
+        return env, time.perf_counter() - start
 
-    doc = benchmark(run)
-    assert doc["events"] >= 20_000
-    assert doc["events_per_sec"] > 0
-    assert (doc["agenda"]["pushes"] + doc["agenda"]["handoffs"]
-            >= doc["events"])
-    # One ticker process: at any instant the agenda holds its pending
-    # timeout (and briefly the resumed process event) — tiny but bounded.
-    assert 1 <= doc["agenda"]["max_depth"] <= 4
-    print(f"\nkernel: {doc['events_per_sec']:,.0f} events/s, "
-          f"agenda depth max {doc['agenda']['max_depth']}, "
-          f"{doc['agenda']['pushes']} pushes")
+    env, seconds = benchmark(run)
+    assert env.events_processed == EVENTS
+    print(f"\nkernel: {EVENTS / seconds:,.0f} events/s, "
+          f"{EVENTS} events, {env.handoffs} handoffs")
 
 
 def test_store_churn(benchmark):
@@ -67,45 +60,46 @@ def test_store_churn(benchmark):
     TAGS = 16
     ROUNDS = 1_500
     BACKLOG = 512
+    EVENTS = 73_091
 
     def run():
-        with kernel_profile() as kp:
-            env = Environment()
-            store = FilterStore(env, key=lambda item: item[0])
-            # Standing backlog under tags no consumer asks for until
-            # the drain phase: replies parked in a mailbox while the
-            # receiver works through other traffic.
+        env = Environment()
+        store = FilterStore(env, key=lambda item: item[0])
+        # Standing backlog under tags no consumer asks for until the
+        # drain phase: replies parked in a mailbox while the receiver
+        # works through other traffic.
+        for i in range(BACKLOG):
+            store.put((("cold", i % TAGS), i))
+
+        def producer(env, tag):
+            for i in range(ROUNDS):
+                yield store.put((tag, i))
+                yield env.timeout(1)
+
+        def consumer(env, tag):
+            for _ in range(ROUNDS):
+                yield store.get(key=tag)
+
+        def drainer(env):
+            yield env.timeout(ROUNDS + 1)
             for i in range(BACKLOG):
-                store.put((("cold", i % TAGS), i))
+                yield store.get(key=("cold", i % TAGS))
 
-            def producer(env, tag):
-                for i in range(ROUNDS):
-                    yield store.put((tag, i))
-                    yield env.timeout(1)
-
-            def consumer(env, tag):
-                for _ in range(ROUNDS):
-                    yield store.get(key=tag)
-
-            def drainer(env):
-                yield env.timeout(ROUNDS + 1)
-                for i in range(BACKLOG):
-                    yield store.get(key=("cold", i % TAGS))
-
-            for tag in range(TAGS):
-                env.process(producer(env, tag))
-                # Consumers wait on a different tag's producer cadence,
-                # so gets routinely outpace their puts and park.
-                env.process(consumer(env, (tag * 7 + 3) % TAGS))
-            env.process(drainer(env))
-            env.run()
+        for tag in range(TAGS):
+            env.process(producer(env, tag))
+            # Consumers wait on a different tag's producer cadence, so
+            # gets routinely outpace their puts and park.
+            env.process(consumer(env, (tag * 7 + 3) % TAGS))
+        env.process(drainer(env))
+        start = time.perf_counter()
+        env.run()
         assert len(store) == 0
-        return validate_kernelprof(kp.document())
+        return env, time.perf_counter() - start
 
-    doc = benchmark(run)
-    assert doc["events"] >= 2 * TAGS * ROUNDS
-    print(f"\nstore_churn: {doc['events_per_sec']:,.0f} events/s, "
-          f"{doc['agenda']['handoffs']} handoffs")
+    env, seconds = benchmark(run)
+    assert env.events_processed == EVENTS
+    print(f"\nstore_churn: {EVENTS / seconds:,.0f} events/s, "
+          f"{EVENTS} events, {env.handoffs} handoffs")
 
 
 def test_mailbox_pingpong(benchmark):
@@ -118,36 +112,38 @@ def test_mailbox_pingpong(benchmark):
     """
     PAIRS = 4
     ROUNDS = 400
+    EVENTS = 48_024
 
     def run():
-        with kernel_profile() as kp:
-            env = Environment()
-            cfg = TransputerConfig(context_switch_overhead=0.0)
-            n = 2 * PAIRS
-            nodes = {i: TransputerNode(env, i, cfg) for i in range(n)}
-            net = Network(env, nodes, make_topology("ring", range(n)), cfg)
+        env = Environment()
+        cfg = TransputerConfig(context_switch_overhead=0.0)
+        n = 2 * PAIRS
+        nodes = {i: TransputerNode(env, i, cfg) for i in range(n)}
+        net = Network(env, nodes, make_topology("ring", range(n)), cfg)
 
-            def pinger(env, me, peer):
-                for i in range(ROUNDS):
-                    net.send(me, peer, 256, tag="ping", payload=i)
-                    yield net.recv(me, tag="pong")
+        def pinger(env, me, peer):
+            for i in range(ROUNDS):
+                net.send(me, peer, 256, tag="ping", payload=i)
+                yield net.recv(me, tag="pong")
 
-            def ponger(env, me, peer):
-                for _ in range(ROUNDS):
-                    yield net.recv(me, tag="ping")
-                    net.send(me, peer, 256, tag="pong")
+        def ponger(env, me, peer):
+            for _ in range(ROUNDS):
+                yield net.recv(me, tag="ping")
+                net.send(me, peer, 256, tag="pong")
 
-            for p in range(PAIRS):
-                a, b = 2 * p, 2 * p + 1
-                env.process(pinger(env, a, b))
-                env.process(ponger(env, b, a))
-            env.run()
-        return validate_kernelprof(kp.document())
+        for p in range(PAIRS):
+            a, b = 2 * p, 2 * p + 1
+            env.process(pinger(env, a, b))
+            env.process(ponger(env, b, a))
+        start = time.perf_counter()
+        env.run()
+        return env, net, time.perf_counter() - start
 
-    doc = benchmark(run)
-    assert doc["counters"]["comm.messages"] == 2 * PAIRS * ROUNDS
-    print(f"\nmailbox_pingpong: {doc['events_per_sec']:,.0f} events/s, "
-          f"{doc['agenda']['handoffs']} handoffs")
+    env, net, seconds = benchmark(run)
+    assert env.events_processed == EVENTS
+    assert net.stats.messages_sent == 2 * PAIRS * ROUNDS
+    print(f"\nmailbox_pingpong: {EVENTS / seconds:,.0f} events/s, "
+          f"{EVENTS} events, {env.handoffs} handoffs")
 
 
 def test_buffer_pool_backlog(benchmark):
@@ -175,36 +171,35 @@ def test_buffer_pool_backlog(benchmark):
         return [p for p in range(N) if abs(p - me) > 1]
 
     def run():
-        with kernel_profile() as kp:
-            env = Environment()
-            cfg = TransputerConfig(context_switch_overhead=0.0,
-                                   packet_bytes=1024)
-            nodes = {i: TransputerNode(env, i, cfg,
-                                       mailbox_bytes=MAILBOX_BYTES)
-                     for i in range(N)}
-            net = Network(env, nodes, make_topology("linear", range(N)), cfg)
+        env = Environment()
+        cfg = TransputerConfig(context_switch_overhead=0.0,
+                               packet_bytes=1024)
+        nodes = {i: TransputerNode(env, i, cfg, mailbox_bytes=MAILBOX_BYTES)
+                 for i in range(N)}
+        net = Network(env, nodes, make_topology("linear", range(N)), cfg)
 
-            def receiver(env, me):
-                for _ in peers(me):
-                    yield net.recv(me, tag="bulk")
+        def receiver(env, me):
+            for _ in peers(me):
+                yield net.recv(me, tag="bulk")
 
-            for i in range(N):
-                for peer in peers(i):
-                    net.send(i, peer, MESSAGE_BYTES, tag="bulk")
-                env.process(receiver(env, i))
-            env.run(until=CHECKPOINT)
-            depth = max(node.buffers.queue_length for node in nodes.values())
-            env.run()
+        for i in range(N):
+            for peer in peers(i):
+                net.send(i, peer, MESSAGE_BYTES, tag="bulk")
+            env.process(receiver(env, i))
+        start = time.perf_counter()
+        env.run(until=CHECKPOINT)
+        depth = max(node.buffers.queue_length for node in nodes.values())
+        env.run()
+        seconds = time.perf_counter() - start
         assert sum(len(node.mailbox) for node in nodes.values()) == 0
-        return validate_kernelprof(kp.document()), depth
+        return env, net, depth, seconds
 
-    doc, depth = benchmark(run)
-    assert doc["events"] == EVENTS
+    env, net, depth, seconds = benchmark(run)
+    assert env.events_processed == EVENTS
     assert depth >= 200
-    assert doc["counters"]["comm.messages"] == sum(
-        len(peers(i)) for i in range(N))
-    print(f"\nbuffer_pool_backlog: {doc['events_per_sec']:,.0f} events/s, "
-          f"{doc['events']} events, deepest transit queue {depth}")
+    assert net.stats.messages_sent == sum(len(peers(i)) for i in range(N))
+    print(f"\nbuffer_pool_backlog: {EVENTS / seconds:,.0f} events/s, "
+          f"{EVENTS} events, deepest transit queue {depth}")
 
 
 def test_cpu_round_robin(benchmark):
@@ -228,30 +223,30 @@ def test_cpu_round_robin(benchmark):
     EVENTS = 38_928
 
     def run():
-        with kernel_profile() as kp:
-            env = Environment()
-            cfg = TransputerConfig()
-            cpus = [Cpu(env, cfg, node_id=i) for i in range(CPUS)]
-            for cpu in cpus:
-                for tag in range(BURSTS):
-                    cpu.execute(LOW_WORK, LOW, tag=tag)
+        env = Environment()
+        cfg = TransputerConfig()
+        cpus = [Cpu(env, cfg, node_id=i) for i in range(CPUS)]
+        for cpu in cpus:
+            for tag in range(BURSTS):
+                cpu.execute(LOW_WORK, LOW, tag=tag)
 
-            def high_source(env, cpu):
-                for _ in range(HIGH_BURSTS):
-                    yield env.timeout(HIGH_PERIOD)
-                    cpu.execute(HIGH_WORK, HIGH)
+        def high_source(env, cpu):
+            for _ in range(HIGH_BURSTS):
+                yield env.timeout(HIGH_PERIOD)
+                cpu.execute(HIGH_WORK, HIGH)
 
-            for cpu in cpus:
-                env.process(high_source(env, cpu))
-            env.run()
-        return validate_kernelprof(kp.document()), cpus
+        for cpu in cpus:
+            env.process(high_source(env, cpu))
+        start = time.perf_counter()
+        env.run()
+        return env, cpus, time.perf_counter() - start
 
-    doc, cpus = benchmark(run)
-    assert doc["events"] == EVENTS
+    env, cpus, seconds = benchmark(run)
+    assert env.events_processed == EVENTS
     for cpu in cpus:
         assert cpu.stats.completed == BURSTS + HIGH_BURSTS
         assert cpu.stats.preemptions > 0
-    print(f"\ncpu_round_robin: {doc['events_per_sec']:,.0f} events/s, "
+    print(f"\ncpu_round_robin: {EVENTS / seconds:,.0f} events/s, "
           f"{sum(c.stats.dispatches for c in cpus)} dispatches, "
           f"{sum(c.stats.preemptions for c in cpus)} preemptions")
 
@@ -277,34 +272,34 @@ def test_observed_transport(benchmark):
     RECORDS = 16_320
 
     def run():
-        with kernel_profile() as kp:
-            env = Environment()
-            tel = attach(env)
-            attach_ledger(env, telemetry=tel)
-            cfg = TransputerConfig()
-            nodes = {i: TransputerNode(env, i, cfg) for i in range(N)}
-            net = Network(env, nodes, make_topology("mesh", range(N)), cfg)
+        env = Environment()
+        tel = attach(env)
+        attach_ledger(env, telemetry=tel)
+        cfg = TransputerConfig()
+        nodes = {i: TransputerNode(env, i, cfg) for i in range(N)}
+        net = Network(env, nodes, make_topology("mesh", range(N)), cfg)
 
-            def receiver(env, me):
-                for _ in range(N - 1):
-                    yield net.recv(me, tag="all")
+        def receiver(env, me):
+            for _ in range(N - 1):
+                yield net.recv(me, tag="all")
 
-            for i in range(N):
-                nodes[i].cpu.execute(LOW_WORK, LOW, tag="compute")
-                for peer in range(N):
-                    if peer != i:
-                        net.send(i, peer, MESSAGE_BYTES, tag="all")
-                env.process(receiver(env, i))
-            env.run()
-        return validate_kernelprof(kp.document()), tel
+        for i in range(N):
+            nodes[i].cpu.execute(LOW_WORK, LOW, tag="compute")
+            for peer in range(N):
+                if peer != i:
+                    net.send(i, peer, MESSAGE_BYTES, tag="all")
+            env.process(receiver(env, i))
+        start = time.perf_counter()
+        env.run()
+        return env, tel, time.perf_counter() - start
 
-    doc, tel = benchmark(run)
+    env, tel, seconds = benchmark(run)
     records = len(tel.recorder) + tel.recorder.dropped
-    assert doc["events"] == EVENTS
+    assert env.events_processed == EVENTS
     assert records == RECORDS
     assert tel.recorder.categories()["cpu.preempt"] > 0
-    print(f"\nobserved_transport: {records / doc['kernel_s']:,.0f} "
-          f"records/s, {records} records, {doc['events']} events")
+    print(f"\nobserved_transport: {records / seconds:,.0f} "
+          f"records/s, {records} records, {EVENTS} events")
 
 
 def test_open_stream_jobs(benchmark):

@@ -92,12 +92,6 @@ class Network:
         self.nodes = {n: nodes[n] for n in topology.nodes}
         self.router = build_router(topology, routing)
         self.stats = NetworkStats()
-        # Fast-path bindings: observability is attached to the
-        # environment before the system's components are constructed
-        # (see ``system.build``), so one load each here (and the probe
-        # below) replaces the per-packet-hop ``env.telemetry`` /
-        # ``env.kernel_profiler`` attribute chains.
-        self._kp = env.kernel_profiler
 
         diameter = topology.graph.diameter() if len(topology.nodes) > 1 else 0
         # Hop classes 0 .. max_hops-1 are enough: a packet that has made
@@ -124,6 +118,10 @@ class Network:
             self.nodes[v].links[u] = Link(
                 env, v, u, config.link_bandwidth, config.link_startup
             )
+        # Observability is attached to the environment before the
+        # system's components are constructed (see ``system.build``), so
+        # one binding here replaces a per-packet-hop ``env.telemetry``
+        # attribute chain.
         tel = env.telemetry
         self._probe = (_NetworkProbe(env, tel, self.nodes.values())
                        if tel is not None else None)
@@ -305,9 +303,6 @@ class _MessageWalker:
         stats = network.stats
         stats.messages_sent += 1
         stats.bytes_sent += message.nbytes
-        kp = network._kp
-        if kp is not None:
-            kp.count("comm.messages")
         # Sender-side software: packetisation and the copy of the
         # payload out of job memory into message buffers.
         work = network.nodes[message.src].cpu.execute(
@@ -337,9 +332,6 @@ class _MessageWalker:
             return
         path = self.path = network.router.path(message.src, message.dst)
         message.hops = len(path) - 1
-        kp = network._kp
-        if kp is not None:
-            kp.depth("comm.path_hops", message.hops)
         links = self.links = []
         pools = self.pools = []
         cpus = self.cpus = []
@@ -462,11 +454,6 @@ class _PacketWalker:
         env.kick(self._start)
 
     def _start(self, _event):
-        kp = self.network._kp
-        if kp is not None:
-            # One batched bump per packet, not one per hop — the hop
-            # count is known up front and hook calls are hot-path cost.
-            kp.count("comm.packet_hops", len(self.links))
         self._next_hop()
 
     def _next_hop(self):

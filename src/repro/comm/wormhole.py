@@ -46,7 +46,6 @@ class WormholeNetwork:
         # Fast-path bindings (observability is attached before the
         # system's components are constructed; see ``system.build``).
         self._tel = env.telemetry
-        self._kp = env.kernel_profiler
         #: One single-occupancy channel per directed edge.
         self._channels = {}
         for u, v in topology.graph.edges:
@@ -84,9 +83,6 @@ class WormholeNetwork:
         message.sent_at = env.now
         self.stats.messages_sent += 1
         self.stats.bytes_sent += message.nbytes
-        kp = self._kp
-        if kp is not None:
-            kp.count("comm.messages")
 
         yield src_node.cpu.execute(cfg.message_overhead, HIGH, tag="comm")
 
@@ -101,10 +97,7 @@ class WormholeNetwork:
             return message
 
         path = self.router.path(message.src, message.dst)
-        hops = len(path) - 1
-        message.hops = hops
-        if kp is not None:
-            kp.depth("comm.path_hops", hops)
+        message.hops = len(path) - 1
 
         # Reassembly memory at the destination, then stream the message
         # as a sequence of worms (one per packet).  Each worm claims the
@@ -119,9 +112,6 @@ class WormholeNetwork:
         while remaining > 0:
             worm = min(remaining, cfg.packet_bytes)
             remaining -= worm
-            if kp is not None:
-                # One batched bump per worm, not one per hop claimed.
-                kp.count("comm.packet_hops", hops)
             requests = []
             try:
                 for u, v in zip(path, path[1:]):

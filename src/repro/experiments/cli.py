@@ -12,7 +12,7 @@ Examples::
     python -m repro.experiments profile --figure 4 --scale smoke \
         --attrib-out attrib.json --flame-out profile.collapsed
     python -m repro.experiments hotspots --figure 4 --scale smoke \
-        --kernelprof-out hotspots.json --flame-out kernel.collapsed
+        --flame-out host.collapsed
     python -m repro.experiments decisions --figure 4 --scale smoke \
         --decisions-out decisions.jsonl --perfetto-out decisions.trace.json
     python -m repro.experiments --figure all --jobs 0 \
@@ -53,8 +53,8 @@ ABLATION_NAMES = ("discipline", "gang", "host", "memory", "placement",
 #: ``repro.experiments.steady.POLICIES``, spelled out for the same reason.
 STEADY_POLICIES = ("static", "ts")
 
-#: ``--sample-every`` default: ``repro.obs.kernelprof.DEFAULT_SAMPLE_EVERY``.
-DEFAULT_SAMPLE_EVERY = 64
+#: The ``--figure`` choices.
+FIGURES = ("3", "4", "5", "6", "all")
 
 
 def _parse_args(argv):
@@ -70,16 +70,15 @@ def _parse_args(argv):
         help="'profile' runs the causal profiler over the selected "
              "figures: wait-state attribution per policy, critical "
              "paths, and optional flame/attribution exports; 'diff' "
-             "compares two recorded runs (BENCH json / --metrics-out / "
-             "--attrib-out documents, or directories of them) and "
-             "localises significant regressions to wait-state buckets; "
+             "compares two recorded runs (--metrics-out / --attrib-out "
+             "documents, or directories of them) and localises "
+             "significant regressions to wait-state buckets; "
              "'steady' sweeps an open-system arrival stream over "
              "offered loads with O(1)-memory streaming statistics, "
              "MSER warm-up truncation, and batch-means CIs; 'hotspots' "
-             "runs the selected figures under the kernel self-profiler "
-             "and prints where the *simulator engine* spent its "
-             "wall-clock (per-event-type breakdown, agenda pressure, "
-             "callback sites); 'decisions' replays the selected "
+             "runs the selected figures under cProfile and prints where "
+             "the *simulator* spent its host time, split over its "
+             "layers; 'decisions' replays the selected "
              "figures with the scheduler decision ledger on and prints "
              "per-policy why-tables (placements, sizings, deferrals, "
              "quantum-expiry vs block-yield), checking that each job's "
@@ -91,7 +90,8 @@ def _parse_args(argv):
              "JSON document or a directory containing them",
     )
     parser.add_argument(
-        "--figure", help="figure number 3-6, or 'all'", default=None
+        "--figure", choices=FIGURES, default=None,
+        help="figure number 3-6, or 'all'",
     )
     parser.add_argument(
         "--ablation",
@@ -127,34 +127,10 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--flame-out", default=None, metavar="PATH",
-        help="(profile/hotspots) write critical paths (profile) or the "
-             "kernel hot-path breakdown (hotspots) as a collapsed-stack "
-             "file (open with speedscope or flamegraph.pl)",
-    )
-    parser.add_argument(
-        "--kernelprof-out", default=None, metavar="PATH",
-        help="(hotspots) write the full repro-kernelprof/1 document "
-             "(per-event-type breakdown, agenda depth percentiles, "
-             "events/sec timeline, counters) as JSON",
-    )
-    parser.add_argument(
-        "--sample-every", type=int,
-        default=DEFAULT_SAMPLE_EVERY, metavar="N",
-        help="(hotspots) read host clocks on roughly one event in N — "
-             "step timing and callback timing each get a ~1-in-N "
-             "stream with randomised gaps (default "
-             f"{DEFAULT_SAMPLE_EVERY}; smaller = finer "
-             "attribution, more overhead)",
-    )
-    parser.add_argument(
-        "--memory", action="store_true",
-        help="(hotspots) also attribute allocations with sampled "
-             "tracemalloc+gc snapshots (roughly doubles allocation "
-             "cost; off by default)",
-    )
-    parser.add_argument(
-        "--top", type=int, default=12, metavar="N",
-        help="(hotspots) rows per ranked table (default 12)",
+        help="(profile/hotspots) write critical paths (profile) or "
+             "host time per layer;function (hotspots) as a "
+             "collapsed-stack file (open with speedscope or "
+             "flamegraph.pl)",
     )
     parser.add_argument(
         "--decisions-out", default=None, metavar="PATH",
@@ -191,23 +167,18 @@ def _parse_args(argv):
     )
     parser.add_argument(
         "--json-out", default=None, metavar="PATH",
-        help="(diff) write the structured repro-diff/1 document here",
+        help="(diff) write the structured repro-diff/2 document here",
     )
     parser.add_argument(
         "--fail-on-regression", action="store_true",
         help="(diff) exit 1 when a significant regression or any "
-             "simulated drift (bench mean RT, counters) is found, "
-             "3 when an attribution profile is truncated (unsound)",
+             "counter drift is found, 3 when an attribution profile is "
+             "truncated (unsound)",
     )
     parser.add_argument(
         "--min-effect", type=float, default=None, metavar="FRAC",
         help="(diff) smallest relative mean-RT change that counts as "
              "significant (default 0.01)",
-    )
-    parser.add_argument(
-        "--wall-tolerance", type=float, default=None, metavar="FRAC",
-        help="(diff) allowed fractional wall-clock regression "
-             "(default 0.20, calibration-normalised when possible)",
     )
     parser.add_argument(
         "--resamples", type=int, default=None, metavar="N",
@@ -282,8 +253,13 @@ def _parse_args(argv):
                          "diff <baseline> <candidate>")
     elif args.paths:
         parser.error(f"unexpected positional arguments {args.paths}")
-    if args.command == "hotspots" and args.sample_every < 1:
-        parser.error("--sample-every must be >= 1")
+    # Bounds written so that NaN fails them: a NaN or infinite
+    # --min-effect would make no cell significant, disarming the gate.
+    if args.resamples is not None and args.resamples < 1:
+        parser.error(f"--resamples must be >= 1, got {args.resamples}")
+    if args.min_effect is not None and not 0 <= args.min_effect < math.inf:
+        parser.error(f"--min-effect must be finite and >= 0, "
+                     f"got {args.min_effect!r}")
     if args.ablation not in (None, "all", *ABLATION_NAMES):
         parser.error(f"unknown ablation {args.ablation!r}; choose from "
                      f"{list(ABLATION_NAMES)} or 'all'")
@@ -376,14 +352,20 @@ def _artifact(out, path, schema, detail=""):
     print(f"wrote {path} [{schema}{tail}]", file=out)
 
 
+def _figure_selection(args):
+    """The ``--scale`` and the ``--figure`` numbers to run."""
+    scale = (ExperimentScale.paper() if args.scale == "paper"
+             else ExperimentScale.smoke())
+    numbers = [3, 4, 5, 6] if args.figure == "all" else [int(args.figure)]
+    return scale, numbers
+
+
 def _run_figures(args, out=None):
     """Run the selected figures; returns the number of failed cells."""
     from repro.experiments.parallel import resolve_jobs
 
     out = out or sys.stdout
-    scale = (ExperimentScale.paper() if args.scale == "paper"
-             else ExperimentScale.smoke())
-    numbers = [3, 4, 5, 6] if args.figure == "all" else [int(args.figure)]
+    scale, numbers = _figure_selection(args)
     profiling = (args.command == "profile" or args.attrib_out
                  or args.flame_out)
     telemetry_wanted = bool(args.trace_out or args.metrics_out or profiling)
@@ -534,7 +516,7 @@ def _write_profile(args, entries, out):
     built from a truncated trace, so the evidence of truncation must
     travel with the profile.
     """
-    from repro.obs import collapsed_lines, profile_run
+    from repro.obs import collapsed_lines, profile_run, write_collapsed_lines
 
     if not entries:
         print("no telemetry recorded to profile", file=out)
@@ -562,10 +544,7 @@ def _write_profile(args, entries, out):
             lines.extend(
                 collapsed_lines(prof.paths, prefix=f"{label}:{policy}")
             )
-        with open(args.flame_out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines))
-            if lines:
-                fh.write("\n")
+        write_collapsed_lines(args.flame_out, lines)
         _artifact(out, args.flame_out, "collapsed-stacks",
                   f"{len(lines)} stacks; open with speedscope "
                   f"or flamegraph.pl")
@@ -583,7 +562,7 @@ def _run_diff(args, out=None):
     from repro.obs.diff import (
         DEFAULT_MIN_EFFECT,
         DEFAULT_RESAMPLES,
-        DEFAULT_WALL_TOLERANCE,
+        SCHEMA,
         diff_runs,
         format_diff_report,
         load_run_bundle,
@@ -602,9 +581,6 @@ def _run_diff(args, out=None):
                     else DEFAULT_MIN_EFFECT),
         resamples=(args.resamples if args.resamples is not None
                    else DEFAULT_RESAMPLES),
-        wall_tolerance=(args.wall_tolerance
-                        if args.wall_tolerance is not None
-                        else DEFAULT_WALL_TOLERANCE),
     )
     report = format_diff_report(result)
     print(report, end="", file=out)
@@ -615,54 +591,50 @@ def _run_diff(args, out=None):
     if args.json_out:
         with open(args.json_out, "w") as fh:
             json.dump(result.to_dict(), fh, indent=1)
-        _artifact(out, args.json_out, "repro-diff/1",
+        _artifact(out, args.json_out, SCHEMA,
                   f"{len(result.cells)} cells")
     return result.exit_code(fail_on_regression=args.fail_on_regression)
 
 
 def _run_hotspots(args, out=None):
-    """``hotspots``: profile the simulation engine itself.
+    """``hotspots``: where the simulator's host time went, per layer.
 
-    Runs the selected figures serially under the kernel self-profiler
-    (parallel workers would profile only the parent process, so
-    ``--jobs`` is ignored here) and prints the ranked hot-path report:
-    which event types the engine spent its wall-clock on, agenda
-    pressure, sampled callback sites, and the model-layer counters.
-    ``--kernelprof-out`` writes the validated ``repro-kernelprof/1``
-    document; ``--flame-out`` writes the breakdown as collapsed stacks
-    for speedscope/FlameGraph.  Returns the process exit code.
+    Runs the selected figures serially under cProfile (parallel workers
+    would escape the profiler, so ``--jobs`` is ignored here) and prints
+    one table of the layers of :mod:`repro.obs.layers`: self seconds,
+    share and calls.  ``--flame-out`` writes the same time as
+    ``layer;function`` collapsed stacks for speedscope/FlameGraph.
+    Returns the process exit code.
     """
-    out = out or sys.stdout
+    import cProfile
+    import pstats
+
     from repro.experiments.runner import run_figure
-    from repro.obs.kernelprof import (
-        format_kernelprof,
-        kernel_collapsed_lines,
-        kernel_profile,
-        validate_kernelprof,
-        write_kernelprof,
+    from repro.obs.layers import (
+        charge_layers,
+        format_layer_table,
+        layer_collapsed_lines,
+        layer_table,
     )
     from repro.obs.profile import write_collapsed_lines
 
-    scale = (ExperimentScale.paper() if args.scale == "paper"
-             else ExperimentScale.smoke())
-    numbers = [3, 4, 5, 6] if args.figure == "all" else [int(args.figure)]
+    out = out or sys.stdout
+    scale, numbers = _figure_selection(args)
     start = time.time()
-    with kernel_profile(sample_every=args.sample_every,
-                        memory=args.memory) as kp:
-        for number in numbers:
-            spec = figure_spec(number)
-            print(f"=== Hotspots: figure {number} ({spec.title}) "
-                  f"[{scale.name}]", file=out)
+    profiler = cProfile.Profile()
+    for number in numbers:
+        spec = figure_spec(number)
+        print(f"=== Hotspots: figure {number} ({spec.title}) "
+              f"[{scale.name}]", file=out)
+        profiler.enable()
+        try:
             run_figure(spec, scale)
-    doc = kp.document()
-    validate_kernelprof(doc)
-    print(format_kernelprof(doc, top=args.top), file=out)
-    if args.kernelprof_out:
-        write_kernelprof(doc, args.kernelprof_out)
-        _artifact(out, args.kernelprof_out, "repro-kernelprof/1",
-                  f"{doc['events']} events profiled")
+        finally:
+            profiler.disable()
+    seconds, calls = charge_layers(pstats.Stats(profiler).stats)
+    print(format_layer_table(layer_table(seconds, calls)), file=out)
     if args.flame_out:
-        lines = kernel_collapsed_lines(doc)
+        lines = layer_collapsed_lines(seconds)
         write_collapsed_lines(args.flame_out, lines)
         _artifact(out, args.flame_out, "collapsed-stacks",
                   f"{len(lines)} stacks; open with speedscope "
@@ -697,9 +669,7 @@ def _run_decisions(args, out=None):
         write_perfetto,
     )
 
-    scale = (ExperimentScale.paper() if args.scale == "paper"
-             else ExperimentScale.smoke())
-    numbers = [3, 4, 5, 6] if args.figure == "all" else [int(args.figure)]
+    scale, numbers = _figure_selection(args)
     start = time.time()
     all_cells = []
     entries = []      # (figure, label, policy, DecisionLedger)

@@ -30,13 +30,11 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "diff": ("DiffResult", "RunBundle", "bootstrap_mean_delta", "diff_runs",
              "format_diff_report", "load_run_bundle"),
     "jsonl": ("jsonl_lines", "jsonl_records", "write_jsonl"),
+    "layers": ("LAYERS", "charge_layers", "format_layer_table",
+               "layer_collapsed_lines", "layer_table"),
     "metrics": ("DEFAULT_BOUNDARIES", "Counter", "FrozenGauge", "Gauge",
                 "Histogram", "MetricsRegistry", "log_boundaries"),
     "perfetto": ("node_pid", "pid_node", "to_perfetto", "write_perfetto"),
-    "kernelprof": ("KernelProfiler", "format_kernelprof",
-                   "kernel_collapsed_lines", "kernel_profile",
-                   "load_kernelprof", "validate_kernelprof",
-                   "write_kernelprof"),
     "profile": ("BUCKETS", "CpSegment", "CriticalPath", "JobProfile",
                 "Profile", "bucket_names", "collapsed_lines", "profile_events",
                 "profile_run", "write_collapsed", "write_collapsed_lines"),
@@ -70,7 +68,7 @@ __all__ = [
     "Histogram",
     "JOB_PHASES",
     "JobProfile",
-    "KernelProfiler",
+    "LAYERS",
     "MetricsRegistry",
     "MultiObserver",
     "OnlineStats",
@@ -93,6 +91,7 @@ __all__ = [
     "batch_means_ci",
     "bootstrap_mean_delta",
     "bucket_names",
+    "charge_layers",
     "check_decomposition",
     "check_schema",
     "decision_table",
@@ -102,15 +101,14 @@ __all__ = [
     "read_sweep_log",
     "collapsed_lines",
     "format_decision_table",
-    "format_kernelprof",
+    "format_layer_table",
     "job_spans",
     "jsonl_lines",
     "jsonl_records",
-    "kernel_collapsed_lines",
-    "kernel_profile",
     "lag1_autocorrelation",
+    "layer_collapsed_lines",
+    "layer_table",
     "load_document",
-    "load_kernelprof",
     "log_boundaries",
     "mser",
     "node_pid",
@@ -128,10 +126,8 @@ __all__ = [
     "slice_spans",
     "t_quantile_975",
     "to_perfetto",
-    "validate_kernelprof",
     "write_collapsed",
     "write_collapsed_lines",
     "write_jsonl",
-    "write_kernelprof",
     "write_perfetto",
 ]

@@ -3,9 +3,8 @@
 The paper's contribution is a *comparison*; this module makes comparing
 two runs of the reproduction itself a first-class, machine-checked
 operation instead of CSV eyeballing.  :func:`diff_runs` takes two
-:class:`RunBundle`\\ s — each a benchmark document
-(``repro-bench/1``), a metrics snapshot (``--metrics-out``), and a
-wait-state attribution profile (``--attrib-out``), any subset — aligns
+:class:`RunBundle`\\ s — each a metrics snapshot (``--metrics-out``), a
+wait-state attribution profile (``--attrib-out``), or both — aligns
 them cell-for-cell (figure x partition size x topology x policy, with
 the static policy's best/worst batch orderings pooled), and produces a
 :class:`DiffResult` that
@@ -18,12 +17,8 @@ the static policy's best/worst batch orderings pooled), and produces a
   (``queued`` / ``cpu_ready`` / ``transfer`` / ``memory`` / ...) whose
   per-job means moved, ranked by contribution — the buckets partition
   response time exactly, so the bucket deltas sum to the cell delta;
-- gates wall-clock per figure and in total, calibration-normalised
-  across hosts exactly like :func:`repro.experiments.bench_json.compare`;
-- gates on *any* simulated drift: a same-scale bench mean response
-  time, or a counter/histogram of the metrics snapshots, that differs
-  at all, and a baseline figure or policy the candidate no longer
-  reports (the simulator is deterministic, so behaviour-preserving
+- gates on *any* counter or histogram drift between the two metrics
+  snapshots (the simulator is deterministic, so behaviour-preserving
   changes leave them bit-identical);
 - surfaces the trace-truncation state of both sides — deltas computed
   from a ring-buffer-truncated attribution profile are *unsound* and
@@ -31,7 +26,7 @@ the static policy's best/worst batch orderings pooled), and produces a
   greenlights them silently.
 
 Everything renders as a human report (:func:`format_diff_report`) and a
-schema-versioned ``repro-diff/1`` JSON (:meth:`DiffResult.to_dict`);
+schema-versioned ``repro-diff/2`` JSON (:meth:`DiffResult.to_dict`);
 the CLI surfaces it as ``repro-experiments diff``.
 """
 
@@ -45,12 +40,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 #: Diff document schema identifier; bump on incompatible layout changes.
-SCHEMA = "repro-diff/1"
+SCHEMA = "repro-diff/2"
 
 #: Exit codes of ``repro-experiments diff --fail-on-regression``.
 EXIT_OK = 0
-#: At least one regression: a significant mean-RT cell delta, a
-#: wall-clock ratio past tolerance, or any simulated drift.
+#: At least one regression: a significant mean-RT cell delta or any
+#: counter drift.
 EXIT_REGRESSION = 1
 #: An attribution profile was built from a truncated trace: the deltas
 #: are unsound, regardless of what they say.
@@ -60,7 +55,6 @@ EXIT_TRUNCATED = 3
 DEFAULT_RESAMPLES = 2000
 DEFAULT_CONFIDENCE = 0.95
 DEFAULT_MIN_EFFECT = 0.01
-DEFAULT_WALL_TOLERANCE = 0.20
 
 
 # ---------------------------------------------------------------------------
@@ -69,23 +63,16 @@ DEFAULT_WALL_TOLERANCE = 0.20
 
 @dataclass
 class RunBundle:
-    """One side of a diff: any subset of the three run documents."""
+    """One side of a diff: a metrics snapshot, a profile, or both."""
 
     path: str
-    #: ``repro-bench/1`` document, or None.
-    bench: dict = None
     #: ``--metrics-out`` snapshot, or None.
     metrics: dict = None
     #: ``--attrib-out`` profile (``repro-profile/1``), or None.
     attrib: dict = None
-    #: Ordered prior bench documents found next to ``bench`` (directory
-    #: bundles only): the benchmark trajectory.
-    trajectory: list = field(default_factory=list)
 
     @property
     def label(self):
-        if self.bench and self.bench.get("run_id"):
-            return str(self.bench["run_id"])
         return Path(self.path).name
 
     def dropped_events(self):
@@ -112,12 +99,10 @@ class RunBundle:
 
 
 def sniff_document(doc):
-    """Classify a loaded JSON document: 'bench', 'metrics' or 'attrib'."""
+    """Classify a loaded JSON document: 'metrics', 'attrib' or None."""
     if not isinstance(doc, dict):
         return None
     schema = doc.get("schema", "")
-    if schema.startswith("repro-bench/"):
-        return "bench"
     if schema.startswith("repro-metrics/"):
         return "metrics"
     if schema.startswith("repro-profile/"):
@@ -131,24 +116,14 @@ def sniff_document(doc):
 def load_run_bundle(path):
     """Build a :class:`RunBundle` from a file or a directory.
 
-    A *directory* bundle collects every recognised JSON document inside
-    it: the newest ``BENCH_*.json`` becomes :attr:`RunBundle.bench`
-    (older ones form the trajectory), and the first metrics/attribution
-    snapshots found fill the other slots.  A *file* bundle holds just
-    that one document, sniffed by its schema.
+    A *directory* bundle collects the first metrics and attribution
+    snapshots found among its JSON documents, in name order.  A *file*
+    bundle holds just that one document, sniffed by its schema.
     """
     p = Path(path)
     bundle = RunBundle(path=str(path))
     if p.is_dir():
-        from repro.experiments.bench_json import load_trajectory
-
-        trajectory = load_trajectory(p, strict=False)
-        if trajectory:
-            bundle.trajectory = [doc for _path, doc in trajectory]
-            bundle.bench = bundle.trajectory[-1]
         for child in sorted(p.glob("*.json")):
-            if child.name.startswith("BENCH_"):
-                continue
             try:
                 with open(child) as fh:
                     doc = json.load(fh)
@@ -157,11 +132,10 @@ def load_run_bundle(path):
             kind = sniff_document(doc)
             if kind and getattr(bundle, kind) is None:
                 setattr(bundle, kind, doc)
-        if bundle.bench is None and bundle.metrics is None \
-                and bundle.attrib is None:
+        if bundle.metrics is None and bundle.attrib is None:
             raise ValueError(
-                f"{path}: no BENCH_*.json, metrics or attribution "
-                f"documents found in directory"
+                f"{path}: no metrics or attribution documents found in "
+                f"directory"
             )
         return bundle
     with open(p) as fh:
@@ -169,14 +143,10 @@ def load_run_bundle(path):
     kind = sniff_document(doc)
     if kind is None:
         raise ValueError(
-            f"{path}: unrecognised document (expected a repro-bench/1, "
-            f"repro-metrics/1 or repro-profile/1 JSON)"
+            f"{path}: unrecognised document (expected a repro-metrics/1 "
+            f"or repro-profile/1 JSON)"
         )
-    if kind == "bench":
-        from repro.experiments.bench_json import load_bench
-
-        doc = load_bench(p)  # full validation
-    elif doc.get("schema"):
+    if doc.get("schema"):
         # Tagged metrics/attribution documents validate through the
         # schema registry (pre-schema metrics snapshots stay accepted).
         from repro.obs.schemas import REGISTRY
@@ -387,59 +357,6 @@ class CellDelta:
         }
 
 
-@dataclass
-class WallDelta:
-    """Wall-clock comparison for one figure (or the whole run)."""
-
-    figure: object  # int, or None for the total
-    base: float
-    cand: float
-    ratio: float
-    normalised: bool
-    regressed: bool
-
-    def to_dict(self):
-        return {
-            "figure": self.figure,
-            "base": self.base,
-            "cand": self.cand,
-            "ratio": self.ratio,
-            "normalised": self.normalised,
-            "regressed": self.regressed,
-        }
-
-
-def _wall_deltas(base_doc, cand_doc, tolerance):
-    """Calibration-normalised wall-clock deltas, per figure and total."""
-    out = []
-    if not base_doc or not cand_doc:
-        return out
-    base_cal = base_doc.get("calibration")
-    cand_cal = cand_doc.get("calibration")
-    normalised = bool(base_cal and cand_cal)
-
-    def norm(doc, seconds):
-        cal = doc.get("calibration")
-        return seconds / cal if normalised else seconds
-
-    base_by_fig = {s["figure"]: s for s in base_doc.get("scenarios", [])}
-    for s in cand_doc.get("scenarios", []):
-        ref = base_by_fig.get(s["figure"])
-        if ref is None:
-            continue
-        b = norm(base_doc, ref["wall_s"])
-        c = norm(cand_doc, s["wall_s"])
-        ratio = c / b if b > 0 else float("inf")
-        out.append(WallDelta(s["figure"], b, c, ratio, normalised,
-                             ratio > 1.0 + tolerance))
-    b = norm(base_doc, base_doc["total_wall_s"])
-    c = norm(cand_doc, cand_doc["total_wall_s"])
-    ratio = c / b if b > 0 else float("inf")
-    out.append(WallDelta(None, b, c, ratio, normalised,
-                         ratio > 1.0 + tolerance))
-    return out
-
-
 def _counter_deltas(base_metrics, cand_metrics):
     """Changed counters/histogram means in the combined registries.
 
@@ -482,22 +399,15 @@ class DiffResult:
     baseline: RunBundle
     candidate: RunBundle
     cells: list = field(default_factory=list)
-    wall: list = field(default_factory=list)
     counters: list = field(default_factory=list)
-    rt_drift_notes: list = field(default_factory=list)
-    trajectory: list = field(default_factory=list)
     min_effect: float = DEFAULT_MIN_EFFECT
     confidence: float = DEFAULT_CONFIDENCE
-    wall_tolerance: float = DEFAULT_WALL_TOLERANCE
 
     def significant_regressions(self):
         return [c for c in self.cells if c.regression]
 
     def improvements(self):
         return [c for c in self.cells if c.improvement]
-
-    def wall_regressions(self):
-        return [w for w in self.wall if w.regressed]
 
     @property
     def unsound(self):
@@ -507,16 +417,13 @@ class DiffResult:
 
     @property
     def drifted(self):
-        """True when a simulated result differs at all: a same-scale
-        bench mean RT (or a baseline figure or policy missing from the
-        candidate), or a counter/histogram when both sides carry metrics
-        snapshots."""
-        return bool(self.rt_drift_notes or self.counters)
+        """True when a counter or histogram differs at all between the
+        two sides' metrics snapshots."""
+        return bool(self.counters)
 
     @property
     def regressed(self):
-        return bool(self.significant_regressions() or self.wall_regressions()
-                    or self.drifted)
+        return bool(self.significant_regressions() or self.drifted)
 
     def exit_code(self, fail_on_regression=False):
         """Gate verdict: truncation trumps everything, then regressions."""
@@ -546,23 +453,18 @@ class DiffResult:
             "config": {
                 "min_effect": self.min_effect,
                 "confidence": self.confidence,
-                "wall_tolerance": self.wall_tolerance,
             },
             "unsound": self.unsound,
             "regressed": self.regressed,
             "cells": [c.to_dict() for c in self.cells],
             "significant_regressions": len(self.significant_regressions()),
             "improvements": len(self.improvements()),
-            "wall": [w.to_dict() for w in self.wall],
             "counters": self.counters,
-            "rt_drift_notes": list(self.rt_drift_notes),
-            "trajectory": list(self.trajectory),
         }
 
 
 def diff_runs(baseline, candidate, *, min_effect=DEFAULT_MIN_EFFECT,
-              confidence=DEFAULT_CONFIDENCE, resamples=DEFAULT_RESAMPLES,
-              wall_tolerance=DEFAULT_WALL_TOLERANCE):
+              confidence=DEFAULT_CONFIDENCE, resamples=DEFAULT_RESAMPLES):
     """Compare two :class:`RunBundle`\\ s end-to-end.
 
     A cell delta is *significant* when its bootstrap confidence interval
@@ -572,8 +474,7 @@ def diff_runs(baseline, candidate, *, min_effect=DEFAULT_MIN_EFFECT,
     up with its responsible wait-state buckets attached.
     """
     result = DiffResult(baseline=baseline, candidate=candidate,
-                        min_effect=min_effect, confidence=confidence,
-                        wall_tolerance=wall_tolerance)
+                        min_effect=min_effect, confidence=confidence)
 
     base_groups = _attrib_groups(baseline.attrib)
     cand_groups = _attrib_groups(candidate.attrib)
@@ -614,43 +515,7 @@ def diff_runs(baseline, candidate, *, min_effect=DEFAULT_MIN_EFFECT,
             bucket_deltas=bucket_deltas,
         ))
 
-    result.wall = _wall_deltas(baseline.bench, candidate.bench,
-                               wall_tolerance)
     result.counters = _counter_deltas(baseline.metrics, candidate.metrics)
-
-    # Simulated mean-RT drift recorded in the bench documents: gated
-    # even without attribution profiles (then there is nothing to
-    # localise the drift to, but the signal itself must not vanish).
-    # Exact comparison: the simulator is deterministic, so even a
-    # one-ulp change means the simulated behaviour changed.  A baseline
-    # figure or policy the candidate no longer reports drifts too.
-    if baseline.bench and candidate.bench and \
-            baseline.bench.get("scale") == candidate.bench.get("scale"):
-        cand_rt = {s["figure"]: s.get("mean_rt", {})
-                   for s in candidate.bench.get("scenarios", [])}
-        for s in baseline.bench.get("scenarios", []):
-            got = cand_rt.get(s["figure"])
-            if got is None:
-                result.rt_drift_notes.append(
-                    f"figure {s['figure']}: missing from the candidate")
-                continue
-            for policy, old in s.get("mean_rt", {}).items():
-                rt = got.get(policy)
-                if rt is None:
-                    result.rt_drift_notes.append(
-                        f"figure {s['figure']} {policy}: bench mean RT "
-                        f"missing from the candidate")
-                elif rt != old:
-                    result.rt_drift_notes.append(
-                        f"figure {s['figure']} {policy}: bench mean RT "
-                        f"{old:.6f} -> {rt:.6f} ({rt - old:+.3g})"
-                    )
-
-    from repro.experiments.bench_json import trajectory_series
-
-    docs = candidate.trajectory or (
-        [candidate.bench] if candidate.bench else [])
-    result.trajectory = trajectory_series(docs)
     return result
 
 
@@ -671,19 +536,6 @@ def format_diff_report(result):
     lines = []
     lines.append(f"=== Run diff: baseline [{result.baseline.label}] vs "
                  f"candidate [{result.candidate.label}]")
-
-    if result.wall:
-        unit = "normalised" if result.wall[0].normalised else "raw seconds"
-        lines.append(f"--- wall-clock ({unit}, tolerance "
-                     f"{1 + result.wall_tolerance:.2f}x)")
-        for w in result.wall:
-            name = f"figure {w.figure}" if w.figure is not None else "total"
-            verdict = "REGRESSED" if w.regressed else "ok"
-            lines.append(f"  {name:<10} baseline {w.base:9.3f}  candidate "
-                         f"{w.cand:9.3f}  ratio {w.ratio:5.3f}  {verdict}")
-    else:
-        lines.append("--- wall-clock: no benchmark documents on both "
-                     "sides; skipped")
 
     if result.cells:
         sig = [c for c in result.cells if c.significant]
@@ -707,12 +559,6 @@ def format_diff_report(result):
         lines.append("--- mean response time: no attribution profiles on "
                      "both sides; cell-level localisation skipped")
 
-    if result.rt_drift_notes:
-        lines.append("--- bench-document mean-RT drift (any drift is a "
-                     "regression)")
-        for note in result.rt_drift_notes:
-            lines.append(f"  {note}")
-
     if result.counters:
         lines.append("--- counters / histograms (combined registries, "
                      "top drift first; any drift is a regression)")
@@ -734,23 +580,11 @@ def format_diff_report(result):
                      "truncated trace; per-bucket deltas are not "
                      "trustworthy (raise the recorder capacity and rerun)")
 
-    if len(result.trajectory) > 1:
-        lines.append(f"--- benchmark trajectory "
-                     f"({len(result.trajectory)} runs)")
-        for entry in result.trajectory:
-            wall = entry.get("normalised_wall")
-            wall_s = f"{wall:9.3f} norm" if wall is not None else (
-                f"{entry['total_wall_s']:9.3f} s")
-            lines.append(f"  {entry['run_id']:<16} {wall_s}  "
-                         f"[{entry.get('scale', '?')}]")
-
     if result.unsound:
         verdict = "UNSOUND (truncated trace)"
     elif result.regressed:
         verdict = (f"REGRESSED ({len(result.significant_regressions())} "
-                   f"cell(s), {len(result.wall_regressions())} "
-                   f"wall-clock, {len(result.rt_drift_notes)} mean-RT "
-                   f"drift, {len(result.counters)} counter drift)")
+                   f"cell(s), {len(result.counters)} counter drift)")
     else:
         verdict = "OK (no significant regressions)"
     lines.append(f"verdict: {verdict}")

@@ -621,10 +621,11 @@ def collapsed_lines(paths, prefix=None):
 def write_collapsed_lines(path, lines):
     """Write pre-rendered collapsed-stack lines for speedscope/FlameGraph.
 
-    The low-level writer shared by :func:`write_collapsed` (critical
-    paths) and :func:`repro.obs.kernelprof.kernel_collapsed_lines`
-    (kernel hot paths) — both emit the same ``stack;frames count``
-    format, so both open in the same tools.
+    The low-level writer behind :func:`write_collapsed` (critical
+    paths) and the CLI's ``--flame-out`` exports (critical paths from
+    ``profile``, host time per ``layer;function`` from ``hotspots``) —
+    all emit the same ``stack;frames count`` format, so all open in the
+    same tools.
     """
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))

@@ -140,12 +140,6 @@ def load_document(path):
 # ---------------------------------------------------------------------------
 
 register_schema(
-    "repro-bench/2", kind="benchmark", container="json",
-    loader="repro.experiments.bench_json.load_bench",
-    producer="benchmarks/bench_trajectory.py --out BENCH_<date>.json",
-    compat=("repro-bench/1",),
-)
-register_schema(
     "repro-metrics/1", kind="metrics", container="json",
     loader="repro.obs.schemas._load_metrics",
     producer="repro-experiments figures --metrics-out",
@@ -156,7 +150,7 @@ register_schema(
     producer="repro-experiments profile --attrib-out",
 )
 register_schema(
-    "repro-diff/1", kind="diff", container="json",
+    "repro-diff/2", kind="diff", container="json",
     loader="repro.obs.schemas._load_diff",
     producer="repro-experiments diff <baseline> <candidate> --json-out",
 )
@@ -169,11 +163,6 @@ register_schema(
     "repro-sweep/1", kind="sweep log", container="jsonl",
     loader="repro.obs.sweeplog.read_sweep_log",
     producer="repro-experiments figures --sweep-log",
-)
-register_schema(
-    "repro-kernelprof/1", kind="kernelprof", container="json",
-    loader="repro.obs.kernelprof.load_kernelprof",
-    producer="repro-experiments hotspots --kernelprof-out",
 )
 register_schema(
     "repro-decisions/1", kind="decisions log", container="jsonl",
@@ -208,7 +197,7 @@ def _load_attrib(path):
 
 def _load_diff(path):
     doc = _load_json(path)
-    check_schema(doc.get("schema"), "repro-diff/1", "diff", where=path)
+    check_schema(doc.get("schema"), "repro-diff/2", "diff", where=path)
     if not isinstance(doc.get("cells"), list):
         raise ValueError(f"{path}: diff document has no cells list")
     return doc

@@ -24,12 +24,7 @@ order of scheduling (a monotone sequence number breaks ties), so two runs
 of the same model always produce identical traces.
 """
 
-from repro.sim.environment import (
-    Environment,
-    active_kernel_profiler,
-    set_event_pooling,
-    set_kernel_profiler,
-)
+from repro.sim.environment import Environment, set_event_pooling
 from repro.sim.events import (
     URGENT,
     NORMAL,
@@ -74,7 +69,5 @@ __all__ = [
     "TimeWeightedValue",
     "Timeout",
     "URGENT",
-    "active_kernel_profiler",
     "set_event_pooling",
-    "set_kernel_profiler",
 ]

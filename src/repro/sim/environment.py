@@ -5,7 +5,6 @@ from __future__ import annotations
 from heapq import heappop, heappush
 from itertools import count
 from sys import getrefcount
-from time import perf_counter_ns
 
 from repro.sim.events import (
     NORMAL,
@@ -22,18 +21,10 @@ from repro.sim.events import (
 )
 from repro.sim.exceptions import EmptySchedule, SimulationError
 
-#: Process-global kernel self-profiler (see
-#: :mod:`repro.obs.kernelprof`).  Environments capture it at
-#: construction time, so installing a profiler before building a system
-#: profiles every environment the run creates — without threading a
-#: parameter through every layer.  ``None`` means profiling is off and
-#: the event loop takes its unobserved fast path.
-_KERNEL_PROFILER = None
-
 #: Process-global toggle for the Timeout/Initialize free-list pools.
-#: Captured per-environment at construction (like the profiler slot) so
-#: the equivalence suite can run the same model with pooling on and off
-#: and compare trajectories byte for byte.
+#: Captured per-environment at construction, so the equivalence suite
+#: can run the same model with pooling on and off and compare
+#: trajectories byte for byte.
 _POOLING = True
 
 #: Decodes the sequence number from a packed agenda key (see
@@ -48,26 +39,6 @@ _SEQ_MASK = (1 << PRIORITY_SHIFT) - 1
 #: back to ordinary scheduling, bounding stack growth without changing
 #: behaviour.
 _HANDOFF_LIMIT = 64
-
-
-def set_kernel_profiler(profiler):
-    """Install (or, with ``None``, clear) the process-global profiler.
-
-    Returns the previously installed profiler so callers can restore
-    it — :func:`repro.obs.kernelprof.kernel_profile` uses this to nest
-    and to guarantee deactivation on exit.  Only environments created
-    *after* installation pick the profiler up; attach it to an existing
-    environment with :meth:`KernelProfiler.attach`.
-    """
-    global _KERNEL_PROFILER
-    previous = _KERNEL_PROFILER
-    _KERNEL_PROFILER = profiler
-    return previous
-
-
-def active_kernel_profiler():
-    """The currently installed process-global kernel profiler, if any."""
-    return _KERNEL_PROFILER
 
 
 def set_event_pooling(enabled):
@@ -136,15 +107,14 @@ class Environment:
         #: handed-off event's callbacks ran, so it was processed; see
         #: :attr:`handoffs` for how many skipped the agenda.
         self.events_processed = 0
-        #: Events completed via :meth:`handoff` (no agenda round-trip).
-        #: The kernel profiler derives exact heap pops as
-        #: ``events_processed - handoffs``.
+        #: Events completed via :meth:`handoff` (no agenda round-trip);
+        #: heap pops are ``events_processed - handoffs``.
         self.handoffs = 0
         #: True while the callback currently being dispatched is the
         #: *last* (or only) callback of its event — the only position
         #: from which :meth:`handoff` may dispatch synchronously without
         #: reordering the event's remaining callbacks.  Maintained by
-        #: every dispatch loop.
+        #: :meth:`step` and :meth:`run`'s loop.
         self._tail_ok = True
         self._handoff_depth = 0
         #: Optional :class:`repro.obs.Telemetry` sink for this run.
@@ -161,14 +131,6 @@ class Environment:
         self._pooling = _POOLING
         self._free_timeouts = []
         self._free_inits = []
-        #: Optional :class:`repro.obs.kernelprof.KernelProfiler`
-        #: measuring the *host* cost of this environment's event loop.
-        #: Captured from the process-global slot at construction; the
-        #: loop guards on it, so the unprofiled path pays one attribute
-        #: load per step.
-        self.kernel_profiler = kp = _KERNEL_PROFILER
-        if kp is not None:
-            kp._register(self)
 
     # -- introspection ---------------------------------------------------
     @property
@@ -253,10 +215,6 @@ class Environment:
         themselves, without the call.  A NaN delay would poison the heap
         order and a negative one would move the clock backwards, so both
         raise, as does a priority other than ``URGENT``/``NORMAL``.
-
-        Deliberately unhooked: the kernel profiler derives push counts
-        from the heap identity (every push is eventually popped or
-        still queued) and samples agenda depth at timed steps.
         """
         if not delay >= 0:  # NaN fails this comparison too
             raise ValueError(f"invalid delay {delay}")
@@ -338,9 +296,9 @@ class Environment:
         An event is recycled only when the step machinery holds the sole
         surviving references: from this frame the count is exactly 3 —
         the caller's local, this function's argument, and the probe
-        argument (the inlined run loops use 2: loop local + probe).
-        That proves no model code kept a handle, so reuse cannot be
-        observed.  Only exact :class:`Timeout` / :class:`Initialize`
+        argument (the loop inlined in :meth:`run` uses 2: loop local +
+        probe).  That proves no model code kept a handle, so reuse
+        cannot be observed.  Only exact :class:`Timeout` / :class:`Initialize`
         instances are pooled; both are always-ok events, so the
         unhandled-failure check is skipped for them.
         """
@@ -364,8 +322,6 @@ class Environment:
         EmptySchedule
             If no events remain.
         """
-        if self.kernel_profiler is not None:
-            return self._step_profiled()
         try:
             self._now, _, event = heappop(self._queue)
         except IndexError:
@@ -377,7 +333,7 @@ class Environment:
         # events the loop consumed.
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
-        # Tail-flag discipline (here and in every loop below): the flag
+        # Tail-flag discipline (here and in :meth:`run`'s loop): the flag
         # is True while the callback being dispatched is the last of its
         # event, which is what licenses :meth:`handoff`'s shortcut.  The
         # single-callback case — the overwhelming majority — leaves the
@@ -394,196 +350,6 @@ class Environment:
             callbacks[n](event)
         self._recycle(event)
 
-    def _step_profiled(self):
-        """:meth:`step` with the kernel self-profiler's measurements.
-
-        Identical event semantics to the unprofiled path — the profiler
-        only reads host clocks and updates its own tallies, so the
-        simulated trajectory is byte-identical either way.
-
-        The common case pays only a countdown decrement: all per-type
-        attribution is *sampled*, because even one dict operation per
-        event costs a measurable fraction of the cheapest whole events.
-        When the countdown expires, the event lands in one of two
-        alternating sample streams — a step-timed stream (pop + dispatch
-        clocked, attributed to the event's type; agenda depth observed)
-        and a callback-timed stream (each callback clocked individually
-        for callsite attribution) — kept separate so clock reads never
-        pollute each other.  Gaps between samples are drawn from a
-        deterministic PRNG so periodic event patterns (ubiquitous in a
-        DES) cannot alias with a fixed sampling grid.  Exact totals come
-        from elsewhere: events from ``events_processed`` deltas, pushes
-        from heap accounting, loop time from :meth:`run`'s clocks.
-        """
-        kp = self.kernel_profiler
-        k = kp._countdown - 1
-        if k <= 0:
-            return self._step_sampled(kp)
-        kp._countdown = k
-        try:
-            self._now, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        n = len(callbacks)
-        if n == 1:
-            callbacks[0](event)
-        elif n:
-            self._tail_ok = False
-            n -= 1
-            for callback in callbacks[:n]:
-                callback(event)
-            self._tail_ok = True
-            callbacks[n](event)
-        self._recycle(event)
-
-    def _run_profiled(self):
-        """The :meth:`run` event loop with the profiler's fast path inlined.
-
-        Semantically one ``while True: self._step_profiled()`` loop, but
-        with the common (countdown-only) case written inline and the
-        countdown held in a local.  That removes a per-event method call
-        and the profiler attribute loads — the difference between the
-        <5 % overhead budget holding and not, since the cheapest events
-        run only a few hundred nanoseconds.  The sampled branch stays a
-        method call: its cost is amortised over the sampling gap.
-        """
-        kp = self.kernel_profiler
-        queue = self._queue
-        pop = heappop
-        refs = getrefcount
-        pooling = self._pooling
-        free_timeouts = self._free_timeouts
-        free_inits = self._free_inits
-        timeout_cls = Timeout
-        init_cls = Initialize
-        k = kp._countdown
-        try:
-            while True:
-                k -= 1
-                if k <= 0:
-                    try:
-                        self._step_sampled(kp)
-                    finally:
-                        k = kp._countdown  # the freshly drawn gap
-                    continue
-                try:
-                    self._now, _, event = pop(queue)
-                except IndexError:
-                    raise EmptySchedule("no scheduled events") from None
-                self.events_processed += 1
-                callbacks, event.callbacks = event.callbacks, None
-                n = len(callbacks)
-                if n == 1:
-                    callbacks[0](event)
-                elif n:
-                    self._tail_ok = False
-                    n -= 1
-                    for callback in callbacks[:n]:
-                        callback(event)
-                    self._tail_ok = True
-                    callbacks[n](event)
-                cls = event.__class__
-                if cls is timeout_cls:
-                    if pooling and refs(event) == 2:
-                        event._value = None
-                        free_timeouts.append(event)
-                elif cls is init_cls:
-                    if pooling and refs(event) == 2:
-                        free_inits.append(event)
-                elif not event._ok and not event._defused:
-                    raise event._value
-        finally:
-            kp._countdown = k
-
-    def _step_sampled(self, kp):
-        """One sampled step: draw the next gap, alternate the streams."""
-        # Deterministic 31-bit LCG (glibc constants — small ints keep
-        # the arithmetic cheap): randomised gaps mean a model whose
-        # event stream repeats with period p can never line up with the
-        # sampling so that one event type soaks up every sample.  Mean
-        # gap == sample_every / 2 per draw, and the two streams
-        # alternate, so each stream samples roughly one event in
-        # sample_every.
-        rng = (kp._rng * 1103515245 + 12345) & 0x7FFFFFFF
-        kp._rng = rng
-        kp._countdown = 1 + (rng >> 16) % kp._gap_limit
-        if kp._stream == 0:
-            kp._stream = 1
-            return self._step_timed(kp)
-        kp._stream = 0
-        return self._step_callbacks_timed(kp)
-
-    def _step_timed(self, kp):
-        """Sampled step: time pop + dispatch, charge the event's type.
-
-        Sampled steps skip the free-list recycle on purpose: they are
-        one step in thousands, so skipping keeps them identical to the
-        pre-pooling code path and the timing attribution clean.
-        """
-        depth = len(self._queue)  # pre-pop agenda depth
-        if not depth:
-            raise EmptySchedule("no scheduled events")
-        if depth > kp.max_depth:
-            kp.max_depth = depth
-        kp._depth_hist.observe(depth)
-        t0 = perf_counter_ns()
-        self._now, _, event = heappop(self._queue)
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        kp._sampled += 1
-        rec = kp._types.get(event.__class__)
-        if rec is None:
-            rec = kp._types[event.__class__] = [0, 0, 0]
-        rec[0] += 1
-        rec[1] += len(callbacks)
-        try:
-            n = len(callbacks)
-            if n == 1:
-                callbacks[0](event)
-            elif n:
-                self._tail_ok = False
-                n -= 1
-                for callback in callbacks[:n]:
-                    callback(event)
-                self._tail_ok = True
-                callbacks[n](event)
-        finally:
-            # finally: a raising callback still gets its time charged.
-            t1 = perf_counter_ns()
-            rec[2] += t1 - t0
-            if kp.timeline_every and kp._sampled >= kp._next_mark:
-                kp._mark(t1)
-        if not event._ok and not event._defused:
-            raise event._value
-
-    def _step_callbacks_timed(self, kp):
-        """Sampled step: time each callback, charge its callsite."""
-        try:
-            self._now, _, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
-        self.events_processed += 1
-        callbacks, event.callbacks = event.callbacks, None
-        kp._cb_sampled += 1
-        rec = kp._types.get(event.__class__)
-        if rec is None:
-            rec = kp._types[event.__class__] = [0, 0, 0]
-        rec[0] += 1
-        rec[1] += len(callbacks)
-        last = len(callbacks) - 1
-        if last > 0:
-            self._tail_ok = False
-        for i, callback in enumerate(callbacks):
-            if i == last:
-                self._tail_ok = True
-            c0 = perf_counter_ns()
-            callback(event)
-            kp.record_callback(callback, perf_counter_ns() - c0)
-        if not event._ok and not event._defused:
-            raise event._value
-
     def run(self, until=None):
         """Run the simulation.
 
@@ -594,11 +360,18 @@ class Environment:
             a number — run until the clock reaches that time;
             an :class:`Event` — run until that event is processed, then
             return its value (re-raising its exception if it failed).
+
+        The loop is :meth:`step` inlined, with every per-event attribute
+        load hoisted into a local: the heap, ``heappop``, the free
+        lists, the pooling flag and the class probes.  The
+        events-processed counter is accumulated locally and flushed in
+        the ``finally`` (exactly once per consumed event, even when a
+        callback raises); nothing reads it mid-run.
         """
         if until is not None:
             if not isinstance(until, Event):
                 at = float(until)
-                if at < self._now:
+                if not at >= self._now:  # NaN fails this comparison too
                     raise ValueError(
                         f"until ({at}) must not be before now ({self._now})"
                     )
@@ -621,44 +394,6 @@ class Environment:
                 raise until._value
             until.callbacks.append(_STOP_CB)
 
-        # When profiling, the whole event loop is timed here — two clock
-        # reads per run() call instead of two per event — which is what
-        # lets the per-event hooks stay cheap enough for the <5%
-        # overhead budget (per-type timings are sampled and extrapolated
-        # against this exactly measured total).
-        kp = self.kernel_profiler
-        t0 = perf_counter_ns() if kp is not None else 0
-        try:
-            if kp is None:
-                self._run_fast()
-            else:
-                self._run_profiled()
-        except _StopSimulation as stop:
-            ev = stop.event
-            if ev._ok:
-                return ev._value
-            raise ev._value from None
-        except EmptySchedule:
-            if until is not None and until.callbacks is not None:
-                raise SimulationError(
-                    "simulation ran out of events before `until` fired"
-                ) from None
-            return None
-        finally:
-            if kp is not None:
-                kp.kernel_ns += perf_counter_ns() - t0
-
-    def _run_fast(self):
-        """The unprofiled :meth:`run` event loop, fully inlined.
-
-        Semantically ``while True: self.step()``, with every per-event
-        attribute load hoisted into a local: the heap, ``heappop``,
-        the free lists, the pooling flag and the class probes.  The
-        events-processed counter is accumulated locally and flushed in
-        the ``finally`` (exactly once per consumed event, even when a
-        callback raises); nothing reads it mid-loop when the profiler
-        is off — the profiler is its only consumer.
-        """
         queue = self._queue
         pop = heappop
         refs = getrefcount
@@ -696,6 +431,17 @@ class Environment:
                         free_inits.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value
+        except _StopSimulation as stop:
+            ev = stop.event
+            if ev._ok:
+                return ev._value
+            raise ev._value from None
+        except EmptySchedule:
+            if until is not None and until.callbacks is not None:
+                raise SimulationError(
+                    "simulation ran out of events before `until` fired"
+                ) from None
+            return None
         finally:
             self.events_processed += n
 
@@ -708,18 +454,12 @@ class Environment:
         at most ``max_events`` events are processed before raising.
         """
         start = self.events_processed
-        kp = self.kernel_profiler
-        step = self.step if kp is None else self._step_profiled
-        t0 = perf_counter_ns() if kp is not None else 0
-        try:
-            while self._queue:
-                if (max_events is not None
-                        and self.events_processed - start >= max_events):
-                    raise SimulationError(f"exceeded {max_events} events")
-                step()
-        finally:
-            if kp is not None:
-                kp.kernel_ns += perf_counter_ns() - t0
+        step = self.step
+        while self._queue:
+            if (max_events is not None
+                    and self.events_processed - start >= max_events):
+                raise SimulationError(f"exceeded {max_events} events")
+            step()
         return self.events_processed - start
 
     def __repr__(self):

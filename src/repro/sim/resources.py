@@ -92,11 +92,6 @@ class Resource:
         #: Tombstoned (cancelled-while-queued) entries still in ``queue``.
         self._dead = 0
         self._seq = count()
-        # Fast-path binding: the kernel profiler is process-global and
-        # captured by the environment at construction, and components are
-        # built after observability is attached (see ``system.build``),
-        # so one load here replaces a per-request attribute chain.
-        self._kp = env.kernel_profiler
 
     @property
     def capacity(self):
@@ -121,18 +116,11 @@ class Resource:
 
     def _do_request(self, request):
         heappush(self.queue, (self._sort_key(request), request))
-        kp = self._kp
-        if kp is not None:
-            kp.count("resource.requests")
-            kp.depth("resource.queue_depth", len(self.queue) - self._dead)
         self._trigger()
 
     def _do_cancel(self, request):
         if request in self.users:
             self.users.remove(request)
-            kp = self._kp
-            if kp is not None:
-                kp.count("resource.releases")
             self._trigger()
         elif not request.triggered and not request._dequeued:
             # Lazy deletion: mark the entry dead and let `_trigger` (or a
@@ -155,9 +143,6 @@ class Resource:
     def _grant(self, request):
         request.usage_since = self.env.now
         self.users.append(request)
-        kp = self._kp
-        if kp is not None:
-            kp.count("resource.grants")
         request.succeed()
 
     def _trigger(self):
@@ -226,9 +211,6 @@ class PreemptiveResource(PriorityResource):
                 request.priority,
                 request.time,
             ):
-                kp = self._kp
-                if kp is not None:
-                    kp.count("resource.preemptions")
                 self.users.remove(victim)
                 if victim.proc is None or not victim.proc.is_alive:
                     raise SimulationError(

@@ -110,10 +110,10 @@ def test_cli_static_names_match_their_sources():
     """The CLI spells out what it would otherwise import a model for."""
     from repro.experiments import cli
     from repro.experiments.ablations import ALL_ABLATIONS
-    from repro.obs.kernelprof import DEFAULT_SAMPLE_EVERY
+    from repro.experiments.config import _FIGURES
 
     assert cli.ABLATION_NAMES == tuple(sorted(ALL_ABLATIONS))
-    assert cli.DEFAULT_SAMPLE_EVERY == DEFAULT_SAMPLE_EVERY
+    assert cli.FIGURES == (*map(str, sorted(_FIGURES)), "all")
 
 
 def test_from_import_falls_through_to_submodules():

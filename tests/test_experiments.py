@@ -189,6 +189,22 @@ def test_cli_unknown_ablation_rejected_before_other_work(capsys):
     assert "unknown ablation 'typo'" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--figure", "9"],
+    ["hotspots", "--figure", "x"],
+    ["--validate", "--figure", "9"],
+])
+def test_cli_unknown_figure_rejected_at_parsing(capsys, argv):
+    """An unknown figure fails at argument parsing (exit 2), before the
+    validation report or any figure runs."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--figure" in captured.err
+
+
 def test_cli_jobs_parallel_produces_identical_csv(tmp_path):
     serial_csv = tmp_path / "serial.csv"
     parallel_csv = tmp_path / "parallel.csv"
@@ -299,7 +315,7 @@ def test_cli_diff_clean_and_regressed(capsys, tmp_path):
     assert "attributed to: executing" in out
     assert "verdict: REGRESSED" in report.read_text()
     doc = json.loads(doc_out.read_text())
-    assert doc["schema"] == "repro-diff/1"
+    assert doc["schema"] == "repro-diff/2"
     assert doc["regressed"] is True
     # Without the gate flag the regression is reported but exits 0.
     assert cli_main(["diff", base, slow]) == 0

@@ -2,12 +2,10 @@
 cell alignment, bucket localisation, and the gate exit codes."""
 
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.experiments import ExperimentScale, run_cell
-from repro.experiments.bench_json import bench_document, write_bench
 from repro.obs import (
     bootstrap_mean_delta,
     diff_runs,
@@ -47,22 +45,27 @@ def attrib_doc(*cells):
     return {"schema": "repro-profile/1", "cells": list(cells)}
 
 
-def bundle(attrib=None, bench=None, metrics=None, path="mem"):
-    return RunBundle(path=path, attrib=attrib, bench=bench, metrics=metrics)
+def bundle(attrib=None, metrics=None, path="mem"):
+    return RunBundle(path=path, attrib=attrib, metrics=metrics)
 
 
 BASE_RTS = [1.0, 2.0, 3.0, 10.0]
 
+#: The schema tag of a benchmark record the differ does not read.
+RETIRED_SCHEMA = "repro-benchmark-record/1"
+
 
 # -- document sniffing and bundle loading --------------------------------
 def test_sniff_document_by_schema():
-    assert sniff_document({"schema": "repro-bench/1"}) == "bench"
     assert sniff_document({"schema": "repro-metrics/1"}) == "metrics"
     assert sniff_document({"schema": "repro-profile/1"}) == "attrib"
     # Pre-schema metrics snapshots: recognised structurally.
     assert sniff_document({"cells": [], "combined": {}}) == "metrics"
     assert sniff_document({"whatever": 1}) is None
     assert sniff_document([1, 2]) is None
+    # Documents of any other schema (benchmark records, say) are not
+    # run evidence.
+    assert sniff_document({"schema": RETIRED_SCHEMA}) is None
 
 
 def test_load_run_bundle_single_file(tmp_path):
@@ -71,7 +74,7 @@ def test_load_run_bundle_single_file(tmp_path):
                                                       BASE_RTS))))
     b = load_run_bundle(path)
     assert b.attrib["cells"][0]["label"] == "4L"
-    assert b.bench is None and b.metrics is None
+    assert b.metrics is None
     assert b.label == "attrib.json"
 
 
@@ -83,15 +86,13 @@ def test_load_run_bundle_rejects_unknown_document(tmp_path):
 
 
 def test_load_run_bundle_rejects_empty_directory(tmp_path):
-    with pytest.raises(ValueError, match="no BENCH"):
+    with pytest.raises(ValueError, match="no metrics or attribution"):
         load_run_bundle(tmp_path)
 
 
 def test_load_run_bundle_directory_collects_all_documents(tmp_path):
-    doc_old = bench_document([], date="2026-08-01", run_id="r1")
-    doc_new = bench_document([], date="2026-08-02", run_id="r2")
-    write_bench(doc_old, tmp_path / "BENCH_a.json")
-    write_bench(doc_new, tmp_path / "BENCH_b.json")
+    (tmp_path / "BENCH_a.json").write_text(
+        json.dumps({"schema": RETIRED_SCHEMA, "scenarios": []}))
     (tmp_path / "attrib.json").write_text(
         json.dumps(attrib_doc(attrib_cell("4L", "static", BASE_RTS))))
     (tmp_path / "metrics.json").write_text(
@@ -99,11 +100,8 @@ def test_load_run_bundle_directory_collects_all_documents(tmp_path):
                     "combined": {}}))
     (tmp_path / "notes.json").write_text("not even json")
     b = load_run_bundle(tmp_path)
-    # Newest bench wins; older ones form the trajectory.
-    assert b.bench["run_id"] == "r2"
-    assert [d["run_id"] for d in b.trajectory] == ["r1", "r2"]
     assert b.attrib is not None and b.metrics is not None
-    assert b.label == "r2"
+    assert b.label == tmp_path.name
 
 
 # -- bootstrap statistics ------------------------------------------------
@@ -248,38 +246,6 @@ def test_truncated_attrib_is_unsound_and_trumps_regression():
     assert bundle(attrib=skipped).attrib_truncated()
 
 
-def test_wall_clock_gate_normalises_by_calibration():
-    def bench(wall, cal):
-        s = {"figure": 4, "title": "t", "cells": 4, "wall_s": wall,
-             "events": 100, "events_per_sec": 100 / wall,
-             "mean_rt": {"static": 0.5}}
-        return bench_document([s], calibration=cal, date="2026-08-06")
-
-    # 2x slower host, 2x the wall-clock: normalised ratio 1.0, no gate.
-    result = diff_runs(bundle(bench=bench(1.0, 0.05)),
-                       bundle(bench=bench(2.0, 0.10)))
-    assert all(w.normalised and not w.regressed for w in result.wall)
-    # Without calibration the same pair regresses on raw seconds.
-    raw = diff_runs(bundle(bench=bench(1.0, None)),
-                    bundle(bench=bench(2.0, None)))
-    assert all(not w.normalised for w in raw.wall)
-    assert raw.wall_regressions()
-    assert raw.exit_code(fail_on_regression=True) == EXIT_REGRESSION
-
-
-def test_bench_rt_drift_reported_without_attribution():
-    def bench(rt):
-        s = {"figure": 4, "title": "t", "cells": 4, "wall_s": 1.0,
-             "events": 100, "events_per_sec": 100.0,
-             "mean_rt": {"static": rt}}
-        return bench_document([s], date="2026-08-06")
-
-    result = diff_runs(bundle(bench=bench(0.5)), bundle(bench=bench(0.6)))
-    assert result.cells == []  # nothing to localise to
-    assert any("0.500000 -> 0.600000" in n for n in result.rt_drift_notes)
-    assert "drift" in format_diff_report(result)
-
-
 def test_counter_deltas_from_metrics_snapshots():
     def metrics(msgs, lat):
         return {"schema": "repro-metrics/1", "cells": [], "combined": {
@@ -293,95 +259,6 @@ def test_counter_deltas_from_metrics_snapshots():
     assert [d["name"] for d in result.counters] == ["net.messages"]
     assert result.counters[0]["delta"] == 50
     assert result.counters[0]["rel"] == pytest.approx(0.5)
-
-
-# -- the gate fails on any simulated drift ---------------------------------
-BASELINE = str(Path(__file__).resolve().parents[1]
-               / "results" / "BENCH_baseline.json")
-
-
-def _edited_baseline(tmp_path, edit):
-    """The checked-in baseline after ``edit(doc)``, written to a file."""
-    doc = json.loads(Path(BASELINE).read_text())
-    edit(doc)
-    path = tmp_path / "BENCH_candidate.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
-
-
-def _drifted_baseline(tmp_path, change):
-    """The checked-in baseline with every figure's mean RTs mapped
-    through ``change`` (wall-clock and calibration untouched)."""
-    def edit(doc):
-        for scenario in doc["scenarios"]:
-            scenario["mean_rt"] = {policy: change(rt) for policy, rt
-                                   in scenario["mean_rt"].items()}
-
-    return _edited_baseline(tmp_path, edit)
-
-
-def test_gate_fails_on_ten_percent_mean_rt_drift(tmp_path, capsys):
-    from repro.experiments.cli import main as cli_main
-
-    candidate = _drifted_baseline(tmp_path, lambda rt: rt * 1.1)
-    assert cli_main(["diff", BASELINE, candidate,
-                     "--fail-on-regression"]) == EXIT_REGRESSION
-    out = capsys.readouterr().out
-    assert "verdict: REGRESSED" in out
-    assert "8 mean-RT drift" in out
-
-
-def test_gate_fails_on_one_ulp_mean_rt_drift(tmp_path, capsys):
-    import math
-
-    from repro.experiments.cli import main as cli_main
-
-    candidate = _drifted_baseline(
-        tmp_path, lambda rt: math.nextafter(rt, math.inf))
-    assert cli_main(["diff", BASELINE, candidate,
-                     "--fail-on-regression"]) == EXIT_REGRESSION
-    assert "verdict: REGRESSED" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("missing", ["figure", "policy"])
-def test_gate_fails_when_the_candidate_drops_a_result(tmp_path, capsys,
-                                                      missing):
-    from repro.experiments.cli import main as cli_main
-
-    def edit(doc):
-        if missing == "figure":
-            del doc["scenarios"][-1]
-        else:
-            doc["scenarios"][0]["mean_rt"].popitem()
-
-    candidate = _edited_baseline(tmp_path, edit)
-    assert cli_main(["diff", BASELINE, candidate,
-                     "--fail-on-regression"]) == EXIT_REGRESSION
-    out = capsys.readouterr().out
-    assert "missing from the candidate" in out
-    assert "1 mean-RT drift" in out
-
-
-def test_gate_passes_identical_bench_documents(tmp_path, capsys):
-    from repro.experiments.cli import main as cli_main
-
-    candidate = _drifted_baseline(tmp_path, lambda rt: rt)
-    assert cli_main(["diff", BASELINE, candidate,
-                     "--fail-on-regression"]) == EXIT_OK
-    assert "verdict: OK" in capsys.readouterr().out
-
-
-def test_mean_rt_drift_across_scales_is_not_gated():
-    def bench(rt, scale):
-        s = {"figure": 4, "title": "t", "cells": 4, "wall_s": 1.0,
-             "events": 100, "events_per_sec": 100.0,
-             "mean_rt": {"static": rt}}
-        return bench_document([s], scale_name=scale, date="2026-08-06")
-
-    result = diff_runs(bundle(bench=bench(0.5, "smoke")),
-                       bundle(bench=bench(0.6, "paper")))
-    assert not result.drifted
-    assert result.exit_code(fail_on_regression=True) == EXIT_OK
 
 
 def test_counter_drift_gates_only_with_metrics_on_both_sides():
@@ -413,7 +290,61 @@ def test_diff_to_dict_round_trips_as_json():
     (cell,) = doc["cells"]
     assert cell["paired"] is True
     assert cell["top_buckets"][0][0] == "executing"
-    assert doc["config"]["min_effect"] == result.min_effect
+    assert doc["config"] == {"min_effect": result.min_effect,
+                             "confidence": result.confidence}
+    assert not {"wall", "rt_drift_notes", "trajectory"} & set(doc)
+
+
+# -- the CLI refuses what would crash the differ or disarm its gate --------
+def _scaled_pair(tmp_path, factor):
+    """Baseline and candidate profile files, candidate RTs x ``factor``."""
+    paths = []
+    for name, scale in (("base.json", 1.0), ("cand.json", factor)):
+        doc = attrib_doc(*(attrib_cell(f"{p}L", "static",
+                                       [v * scale for v in BASE_RTS])
+                           for p in (1, 2, 4, 8, 16)))
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+def test_cli_gate_fails_on_scaled_response_times(tmp_path, capsys):
+    from repro.experiments.cli import main as cli_main
+
+    base, cand = _scaled_pair(tmp_path, 1.5)
+    assert cli_main(["diff", base, cand,
+                     "--fail-on-regression"]) == EXIT_REGRESSION
+    assert "verdict: REGRESSED (5 cell(s)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--resamples", "0"), ("--resamples", "-3"),
+    ("--min-effect", "nan"), ("--min-effect", "inf"),
+    ("--min-effect", "-0.01"),
+])
+def test_cli_rejects_arguments_that_break_the_gate(tmp_path, capsys,
+                                                   flag, value):
+    from repro.experiments.cli import main as cli_main
+
+    base, cand = _scaled_pair(tmp_path, 1.5)
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["diff", base, cand, "--fail-on-regression", flag, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_cli_refuses_a_benchmark_trajectory_document(tmp_path, capsys):
+    from repro.experiments.cli import main as cli_main
+
+    bench = tmp_path / "BENCH_old.json"
+    bench.write_text(json.dumps({"schema": RETIRED_SCHEMA,
+                                 "scenarios": []}))
+    base, _cand = _scaled_pair(tmp_path, 1.0)
+    assert cli_main(["diff", str(bench), base]) == 2
+    assert "unrecognised document" in capsys.readouterr().err
 
 
 # -- the real thing: injected slowdown on a live simulation --------------

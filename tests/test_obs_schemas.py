@@ -17,13 +17,11 @@ from repro.obs.schemas import (
 
 
 EXPECTED_IDS = {
-    "repro-bench/2",
     "repro-metrics/1",
     "repro-profile/1",
-    "repro-diff/1",
+    "repro-diff/2",
     "repro-steady/1",
     "repro-sweep/1",
-    "repro-kernelprof/1",
     "repro-decisions/1",
 }
 
@@ -40,16 +38,14 @@ def test_registry_covers_every_document_family():
 
 def test_check_schema_accepts_and_message_format():
     check_schema("repro-steady/1", "repro-steady/1", "steady log")
-    check_schema("repro-bench/1", ("repro-bench/2", "repro-bench/1"),
-                 "benchmark")
+    check_schema("repro-diff/1", ("repro-diff/2", "repro-diff/1"), "diff")
     with pytest.raises(ValueError) as one:
         check_schema("bogus/9", "repro-steady/1", "steady log")
     assert str(one.value) == (
         "unsupported steady log schema 'bogus/9' "
         "(expected 'repro-steady/1')")
     with pytest.raises(ValueError, match="one of"):
-        check_schema("bogus/9", ("repro-bench/2", "repro-bench/1"),
-                     "benchmark")
+        check_schema("bogus/9", ("repro-diff/2", "repro-diff/1"), "diff")
     with pytest.raises(ValueError, match=r"^f\.json: unsupported"):
         check_schema("bogus/9", "repro-steady/1", "steady log",
                      where="f.json")
@@ -60,8 +56,7 @@ def test_loaders_reject_wrong_schema_uniformly(tmp_path):
     cases = [
         ("repro-metrics/1", {"schema": "bogus/1", "cells": []}),
         ("repro-profile/1", {"schema": "bogus/1", "cells": []}),
-        ("repro-diff/1", {"schema": "bogus/1"}),
-        ("repro-kernelprof/1", {"schema": "bogus/1"}),
+        ("repro-diff/2", {"schema": "bogus/1"}),
     ]
     for sid, doc in cases:
         p = tmp_path / "doc.json"
@@ -123,7 +118,17 @@ def test_register_schema_adds_and_replaces():
 
 
 def test_compat_ids_route_to_current_entry(tmp_path):
-    """repro-bench/1 documents load through the repro-bench/2 entry."""
-    entry = REGISTRY["repro-bench/2"]
-    assert "repro-bench/1" in entry.compat
-    assert REGISTRY.get("repro-bench/1") is None  # only current ids listed
+    """An older id listed as ``compat`` loads through the current entry."""
+    try:
+        entry = register_schema(
+            "repro-test/2", kind="test doc", container="json",
+            loader="repro.obs.schemas._load_json", compat=("repro-test/1",),
+        )
+        assert "repro-test/1" in entry.compat
+        assert REGISTRY.get("repro-test/1") is None  # only current ids
+        p = tmp_path / "old.json"
+        p.write_text(json.dumps({"schema": "repro-test/1", "cells": []}))
+        sid, doc = load_document(p)
+        assert sid == "repro-test/1" and doc["cells"] == []
+    finally:
+        REGISTRY.pop("repro-test/2", None)

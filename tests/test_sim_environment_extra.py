@@ -258,3 +258,41 @@ def test_numeric_until_preserves_fifo_for_same_time_urgent_events():
     env.run(until=5.0)
     assert fired == ["urgent"]
     assert env.now == 5.0
+
+
+def test_numeric_until_rejects_nan():
+    """A NaN deadline passed the old ``at < now`` check, popped first
+    and left the clock at NaN with the model's events still queued."""
+    env = Environment()
+
+    def proc(env):
+        for _ in range(5):
+            yield env.timeout(1)
+
+    env.process(proc(env))
+    with pytest.raises(ValueError, match="must not be before now"):
+        env.run(until=float("nan"))
+    assert env.now == 0.0
+    env.run()
+    assert env.now == 5.0
+
+
+# -- events_processed counts the event before dispatch -------------------
+def test_events_processed_counts_raising_callback():
+    """A callback that raises must not understate the counter."""
+    env = Environment()
+    ev = env.event()
+    ev.succeed()
+    ev.callbacks.append(lambda e: (_ for _ in ()).throw(RuntimeError("x")))
+    with pytest.raises(RuntimeError):
+        env.run()
+    assert env.events_processed == 1
+
+
+def test_events_processed_counts_unhandled_failure():
+    env = Environment()
+    ev = env.event()
+    ev.fail(SimulationError("deliberate"))
+    with pytest.raises(SimulationError):
+        env.run()
+    assert env.events_processed == 1
