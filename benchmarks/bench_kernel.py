@@ -50,12 +50,12 @@ def test_store_churn(benchmark):
     """Keyed FilterStore under churn: the model-layer matching hot path.
 
     Producers and consumers churn through hot tags *past a standing
-    backlog* of messages whose tags nobody is currently receiving —
-    the mailbox pathology the issue profile showed: every legacy
-    ``get`` rescans the whole backlog before finding its match, so the
-    scan cost is O(backlog) per receive where the per-key index pays
-    O(1).  The backlog is drained at the end so the run still
-    terminates with an empty store (GUIDE §16).
+    backlog* of messages whose tags nobody is currently receiving, as
+    in a mailbox whose receiver works through other traffic.  A keyed
+    get goes straight to its tag's deque, so the backlog costs it
+    nothing, where a predicate scan would pay O(backlog) per receive.
+    The backlog is drained at the end so the run still terminates with
+    an empty store (GUIDE §16).
     """
     TAGS = 16
     ROUNDS = 1_500

@@ -154,15 +154,15 @@ def gather(ctx, root_rank, slice_bytes, payloads=None, op_id=None):
     root_node = ctx.node(root_rank)
     out = [None] * size
     out[root_rank] = payloads[root_rank]
+    # One tag for every slice: the root takes them in arrival order.
+    tag = (op, root_rank)
     for rank in range(size):
         if rank == root_rank:
             continue
         ctx.network.send(ctx.node(rank), root_node, slice_bytes[rank],
-                         tag=(op, rank), payload=(rank, payloads[rank]))
+                         tag=tag, payload=(rank, payloads[rank]))
     for _ in range(size - 1):
-        msg = yield ctx.network.recv(root_node, match=lambda m, _op=op: (
-            isinstance(m.tag, tuple) and m.tag[0] == _op
-        ))
+        msg = yield ctx.network.recv(root_node, tag=tag)
         rank, payload = msg.payload
         out[rank] = payload
     return out

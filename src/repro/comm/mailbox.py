@@ -1,9 +1,11 @@
 """Per-node mailboxes.
 
 A mailbox holds fully reassembled messages until a process receives
-them.  Receives may match on any predicate over the message (typically
-its ``tag``), so multiple logical channels share one mailbox — exactly
-the asynchronous any-to-any scheme the paper's runtime implemented.
+them.  Every receive names a tag and takes the oldest delivered message
+with exactly that tag, so multiple logical channels share one mailbox —
+exactly the asynchronous any-to-any scheme the paper's runtime
+implemented.  A receiver that wants related messages in arrival order
+has them sent under one tag.
 
 Reassembly memory is charged to the node's mailbox MMU region by the
 network layer on delivery and released here when the message is
@@ -26,10 +28,9 @@ class Mailbox:
     def __init__(self, env, node):
         self.env = env
         self.node = node
-        # Keyed store: tag receives — the overwhelmingly common case —
-        # are served from per-tag deques in O(1) instead of a
-        # predicate scan over every pending message and waiter.
-        self._store = FilterStore(env, key=_TAG)
+        # Keyed by tag: a receive is served from its tag's deque in O(1)
+        # however many other messages are pending.
+        self._store = FilterStore(env, _TAG)
         #: Live mailbox-memory allocations keyed by message id.
         self._allocations = {}
         self.delivered = 0
@@ -46,23 +47,14 @@ class Mailbox:
         self.delivered += 1
         self._store.put(message)
 
-    def recv(self, match=None, tag=None):
-        """Wait for a message; returns an event yielding the Message.
+    def recv(self, tag):
+        """Wait for the oldest message tagged ``tag``.
 
-        Parameters
-        ----------
-        match:
-            Predicate over the message; mutually exclusive with ``tag``.
-        tag:
-            Shorthand for ``match=lambda m: m.tag == tag``.
+        Returns an event yielding the :class:`Message`.  The match is
+        equality on the whole tag, so ``None`` matches only messages
+        sent without one.
         """
-        if match is not None and tag is not None:
-            raise ValueError("pass either match or tag, not both")
-        if tag is not None:
-            # Keyed fast path: served from the store's per-tag index.
-            get = self._store.get(key=tag)
-        else:
-            get = self._store.get(match)
+        get = self._store.get(tag)
         get.callbacks.append(self._on_recv)
         return get
 

@@ -146,11 +146,11 @@ class Network:
                           src_proc=src_proc, dst_proc=dst_proc)
         return _MessageWalker(self, message).done
 
-    def recv(self, node_id, match=None, tag=None):
+    def recv(self, node_id, tag):
         """Receive a message at ``node_id`` (see :meth:`Mailbox.recv`)."""
         if node_id not in self.nodes:
             raise self._not_member(node_id)
-        return self.nodes[node_id].mailbox.recv(match=match, tag=tag)
+        return self.nodes[node_id].mailbox.recv(tag)
 
     def link_utilizations(self, elapsed):
         """Per-link utilisation mapping {(src, dst): fraction}."""
@@ -451,12 +451,9 @@ class _PacketWalker:
         self.slot = None
         env = network.env
         self.done = Event(env)
-        env.kick(self._start)
+        env.kick(self._next_hop)
 
-    def _start(self, _event):
-        self._next_hop()
-
-    def _next_hop(self):
+    def _next_hop(self, _event=None):
         hop = self.hop
         pools = self.pools
         if hop == len(pools):

@@ -66,10 +66,10 @@ class WormholeNetwork:
             self._transport(message), name=f"whmsg{message.msg_id}"
         )
 
-    def recv(self, node_id, match=None, tag=None):
+    def recv(self, node_id, tag):
         if node_id not in self.nodes:
             raise ValueError(f"node {node_id!r} is not part of this network")
-        return self.nodes[node_id].mailbox.recv(match=match, tag=tag)
+        return self.nodes[node_id].mailbox.recv(tag)
 
     def link_utilizations(self, elapsed):
         """Wormhole channels are modelled as resources, not timed links."""

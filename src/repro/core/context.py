@@ -69,34 +69,15 @@ class ExecutionContext:
         )
 
     def recv(self, process_index, tag):
-        """Receive the next message for ``tag`` at this process's node."""
+        """Receive the oldest message for ``tag`` at this process's node.
+
+        Messages a process should consume in arrival order, such as the
+        halves a merge folds in, share one tag.
+        """
         partition = self.partition
         return partition.network.recv(
             partition.place(process_index, self.placement_offset),
             tag=(self.job.job_id, tag),
-        )
-
-    def recv_prefix(self, process_index, prefix):
-        """Receive the next message whose tuple tag starts with ``prefix``.
-
-        Lets a process consume related messages in *arrival* order (e.g.
-        a merge node taking whichever sorted half lands first) instead
-        of a fixed order — important on a memory-tight node, where
-        parking messages for later pins scarce mailbox memory.
-        """
-        prefix = tuple(prefix)
-        job_id = self.job.job_id
-
-        def match(message):
-            return (
-                isinstance(message.tag, tuple)
-                and message.tag[0] == job_id
-                and isinstance(message.tag[1], tuple)
-                and message.tag[1][: len(prefix)] == prefix
-            )
-
-        return self.partition.network.recv(
-            self.place(process_index), match=match
         )
 
     # -- memory --------------------------------------------------------------

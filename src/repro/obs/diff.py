@@ -166,6 +166,12 @@ def _mean(xs):
     return sum(xs) / len(xs) if xs else 0.0
 
 
+def _check_resamples(resamples):
+    """Refuse a resample count that leaves no bootstrap distribution."""
+    if not resamples >= 1:
+        raise ValueError(f"resamples must be >= 1, got {resamples!r}")
+
+
 def _percentile_ci(deltas, point, confidence, resamples):
     deltas.sort()
     alpha = (1.0 - confidence) / 2.0
@@ -182,8 +188,10 @@ def bootstrap_mean_delta(base, cand, resamples=DEFAULT_RESAMPLES,
     ``(delta, lo, hi)`` where ``delta = mean(cand) - mean(base)`` and
     ``[lo, hi]`` covers the requested two-sided confidence level.  The
     RNG is seeded explicitly so the same inputs always produce the same
-    interval — CI verdicts must be reproducible.
+    interval — CI verdicts must be reproducible.  ``resamples`` must be
+    at least 1.
     """
+    _check_resamples(resamples)
     delta = _mean(cand) - _mean(base)
     if not base or not cand:
         return delta, delta, delta
@@ -207,8 +215,10 @@ def bootstrap_paired_delta(diffs, resamples=DEFAULT_RESAMPLES,
     whole story: a batch's response times are bimodal (small vs large
     jobs) and an unpaired interval would drown a uniform 5% slowdown
     in that between-job variance, while the paired interval sees every
-    job move.  Returns ``(delta, lo, hi)``.
+    job move.  Returns ``(delta, lo, hi)``; ``resamples`` must be at
+    least 1.
     """
+    _check_resamples(resamples)
     delta = _mean(diffs)
     if not diffs:
         return delta, delta, delta
@@ -472,7 +482,14 @@ def diff_runs(baseline, candidate, *, min_effect=DEFAULT_MIN_EFFECT,
     the simulator is deterministic, so two identical-seed runs produce
     exactly zero significant deltas, and any genuine model change shows
     up with its responsible wait-state buckets attached.
+
+    Raises ``ValueError`` for ``resamples < 1`` or a NaN, infinite or
+    negative ``min_effect``: either would make the gate fail to gate.
     """
+    _check_resamples(resamples)
+    if not 0 <= min_effect < math.inf:
+        raise ValueError(
+            f"min_effect must be finite and >= 0, got {min_effect!r}")
     result = DiffResult(baseline=baseline, candidate=candidate,
                         min_effect=min_effect, confidence=confidence)
 

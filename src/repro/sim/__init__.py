@@ -15,16 +15,16 @@ reproduction is built on.  The public surface:
   :class:`~repro.sim.resources.PriorityResource`,
   :class:`~repro.sim.resources.PreemptiveResource` — capacity-limited
   resources with FIFO / priority / preemptive queueing.
-- :class:`~repro.sim.stores.Container` and
-  :class:`~repro.sim.stores.Store` / :class:`~repro.sim.stores.FilterStore`
-  — bulk-quantity and object queues.
+- :class:`~repro.sim.stores.Container`, :class:`~repro.sim.stores.Store`
+  and the keyed :class:`~repro.sim.stores.FilterStore` — bulk-quantity
+  and object queues.
 
 Determinism: events scheduled for the same time are processed in FIFO
 order of scheduling (a monotone sequence number breaks ties), so two runs
 of the same model always produce identical traces.
 """
 
-from repro.sim.environment import Environment, set_event_pooling
+from repro.sim.environment import Environment
 from repro.sim.events import (
     URGENT,
     NORMAL,
@@ -69,5 +69,4 @@ __all__ = [
     "TimeWeightedValue",
     "Timeout",
     "URGENT",
-    "set_event_pooling",
 ]

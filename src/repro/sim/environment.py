@@ -21,12 +21,6 @@ from repro.sim.events import (
 )
 from repro.sim.exceptions import EmptySchedule, SimulationError
 
-#: Process-global toggle for the Timeout/Initialize free-list pools.
-#: Captured per-environment at construction, so the equivalence suite
-#: can run the same model with pooling on and off and compare
-#: trajectories byte for byte.
-_POOLING = True
-
 #: Decodes the sequence number from a packed agenda key (see
 #: :data:`~repro.sim.events.PRIORITY_SHIFT`).
 _SEQ_MASK = (1 << PRIORITY_SHIFT) - 1
@@ -39,22 +33,6 @@ _SEQ_MASK = (1 << PRIORITY_SHIFT) - 1
 #: back to ordinary scheduling, bounding stack growth without changing
 #: behaviour.
 _HANDOFF_LIMIT = 64
-
-
-def set_event_pooling(enabled):
-    """Enable/disable event pooling for environments created afterwards.
-
-    Returns the previous setting so callers can restore it.  Pooling
-    recycles :class:`Timeout` and :class:`Initialize` instances through
-    per-environment free lists; an event is recycled only when, at
-    processing time, the event loop holds the sole remaining reference
-    (``sys.getrefcount == 2`` — the loop local plus the probe argument),
-    so pooled reuse is invisible to any code that kept a handle.
-    """
-    global _POOLING
-    previous = _POOLING
-    _POOLING = bool(enabled)
-    return previous
 
 
 class _StopSimulation(Exception):
@@ -126,9 +104,8 @@ class Environment:
         #: recording site guards on it (hot components snapshot it at
         #: construction), so decisions cost nothing when disabled.
         self.decisions = None
-        #: Whether this environment recycles Timeout/Initialize events
-        #: (captured from the process-global toggle at construction).
-        self._pooling = _POOLING
+        #: Free lists of processed Timeout/Initialize events, reused by
+        #: :meth:`timeout` and :meth:`kick` (see :meth:`_recycle`).
         self._free_timeouts = []
         self._free_inits = []
 
@@ -304,11 +281,11 @@ class Environment:
         """
         cls = event.__class__
         if cls is Timeout:
-            if self._pooling and getrefcount(event) == 3:
+            if getrefcount(event) == 3:
                 event._value = None
                 self._free_timeouts.append(event)
         elif cls is Initialize:
-            if self._pooling and getrefcount(event) == 3:
+            if getrefcount(event) == 3:
                 self._free_inits.append(event)
         elif not event._ok and not event._defused:
             # An unhandled failure: surface it so bugs don't pass silently.
@@ -363,7 +340,7 @@ class Environment:
 
         The loop is :meth:`step` inlined, with every per-event attribute
         load hoisted into a local: the heap, ``heappop``, the free
-        lists, the pooling flag and the class probes.  The
+        lists and the class probes.  The
         events-processed counter is accumulated locally and flushed in
         the ``finally`` (exactly once per consumed event, even when a
         callback raises); nothing reads it mid-run.
@@ -397,7 +374,6 @@ class Environment:
         queue = self._queue
         pop = heappop
         refs = getrefcount
-        pooling = self._pooling
         free_timeouts = self._free_timeouts
         free_inits = self._free_inits
         timeout_cls = Timeout
@@ -423,11 +399,11 @@ class Environment:
                     callbacks[ncb](event)
                 cls = event.__class__
                 if cls is timeout_cls:
-                    if pooling and refs(event) == 2:
+                    if refs(event) == 2:
                         event._value = None
                         free_timeouts.append(event)
                 elif cls is init_cls:
-                    if pooling and refs(event) == 2:
+                    if refs(event) == 2:
                         free_inits.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value

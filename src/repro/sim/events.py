@@ -178,8 +178,8 @@ class Initialize(Event):
     """Internal urgent event that runs one callback at the current time.
 
     Used to start freshly created processes and to kick callback-driven
-    state machines (see :meth:`Environment.kick`).  Instances are pooled
-    by the environment when pooling is enabled.
+    state machines (see :meth:`Environment.kick`).  The environment
+    recycles processed instances that nothing else references.
     """
 
     __slots__ = ()

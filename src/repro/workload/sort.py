@@ -124,13 +124,15 @@ class SortApplication(Application):
         # WORK: selection-sort the final segment (quadratic!).
         yield ctx.compute(w, cm.selection_sort_ops(kept))
 
-        # MERGE: fold in each sorted half as it arrives.  Taking them in
-        # arrival order (rather than reverse send order) matters on the
-        # memory-tight nodes: a parked message pins mailbox memory, and
-        # at high multiprogramming levels enough parked halves could
-        # starve the very message being waited on.
+        # MERGE: fold in each sorted half as it arrives.  Every child
+        # returns its half under one tag, ("sorted", parent), so they
+        # are taken in arrival order (rather than reverse send order),
+        # which matters on the memory-tight nodes: a parked message
+        # pins mailbox memory, and at high multiprogramming levels
+        # enough parked halves could starve the very message being
+        # waited on.
         for _ in sent_halves:
-            msg = yield ctx.recv_prefix(w, ("sorted", w))
+            msg = yield ctx.recv(w, tag=("sorted", w))
             give = msg.payload
             yield ctx.compute(w, cm.merge_ops(kept + give))
             kept += give
@@ -140,7 +142,7 @@ class SortApplication(Application):
             level = _spawn_level(w)
             parent = w - (1 << level)
             ctx.send(w, parent, cm.segment_bytes(kept),
-                     tag=("sorted", parent, level, w), payload=kept)
+                     tag=("sorted", parent), payload=kept)
 
     def describe(self):
         return f"sort(n={self.n})[{self.architecture}]"

@@ -136,13 +136,13 @@ def test_messages_with_same_tag_fifo_per_receiver():
     assert got == [0, 1, 2]
 
 
-def test_recv_by_match_predicate():
+def test_recv_takes_only_its_tag():
     env = Environment()
     nodes, net = build(env, 2)
     got = []
 
     def receiver(env):
-        msg = yield net.recv(1, match=lambda m: m.tag == ("job", 7))
+        msg = yield net.recv(1, tag=("job", 7))
         got.append(msg.tag)
 
     env.process(receiver(env))
@@ -150,13 +150,7 @@ def test_recv_by_match_predicate():
     net.send(0, 1, 10, tag=("job", 7))
     env.run(until=2.0)
     assert got == [("job", 7)]
-
-
-def test_recv_match_and_tag_mutually_exclusive():
-    env = Environment()
-    nodes, net = build(env, 2)
-    with pytest.raises(ValueError):
-        net.recv(1, match=lambda m: True, tag="x")
+    assert len(nodes[1].mailbox) == 1  # ("job", 3) still waits
 
 
 def test_send_to_non_member_rejected():
@@ -165,7 +159,7 @@ def test_send_to_non_member_rejected():
     with pytest.raises(ValueError, match="not part"):
         net.send(0, 9, 10)
     with pytest.raises(ValueError, match="not part"):
-        net.recv(9)
+        net.recv(9, "x")
 
 
 def test_route_over_missing_link_fails_at_the_send():
@@ -254,7 +248,7 @@ def test_link_contention_slows_delivery():
 
         def receiver(env):
             for i in range(n_msgs):
-                yield net.recv(1)
+                yield net.recv(1, tag=i)
 
         env.process(receiver(env))
         env.run()

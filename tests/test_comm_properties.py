@@ -131,9 +131,9 @@ def test_hypercube_traffic_all_pairs_heavy():
     net = Network(env, nodes, hypercube(range(8)), cfg)
     count = 0
 
-    def receiver(env, node, expect):
-        for _ in range(expect):
-            yield net.recv(node)
+    def receiver(env, node):
+        yield env.all_of([net.recv(node, tag=("p", src, node))
+                          for src in range(8) if src != node])
 
     for src in range(8):
         for dst in range(8):
@@ -141,7 +141,7 @@ def test_hypercube_traffic_all_pairs_heavy():
                 net.send(src, dst, 40_000, tag=("p", src, dst))
                 count += 1
     for node in range(8):
-        env.process(receiver(env, node, 7))
+        env.process(receiver(env, node))
     env.run()
     assert net.stats.messages_delivered == count
     for node in nodes.values():

@@ -89,7 +89,9 @@ def test_context_send_recv_scoped_by_job():
     assert got == {"a": "for-a", "b": "for-b"}
 
 
-def test_context_recv_prefix_matches_any_suffix():
+def test_context_recv_takes_one_tag_in_arrival_order():
+    """Related messages sent under one tag are received oldest first,
+    whichever process sent them."""
     env = Environment()
     part, cfg = make_partition(env)
     ctx, _ = make_ctx(env, part, cfg)
@@ -97,15 +99,15 @@ def test_context_recv_prefix_matches_any_suffix():
 
     def receiver(env):
         for _ in range(2):
-            msg = yield ctx.recv_prefix(0, ("sorted", 0))
-            got.append(msg.tag[1])
+            msg = yield ctx.recv(0, tag=("sorted", 0))
+            got.append((msg.payload, msg.delivered_at))
 
     env.process(receiver(env))
-    ctx.send(1, 0, 10, tag=("sorted", 0, 3))
-    ctx.send(2, 0, 10, tag=("sorted", 0, 1))
+    ctx.send(3, 0, 10, tag=("sorted", 0), payload="far")
+    ctx.send(1, 0, 10, tag=("sorted", 0), payload="near")
     env.run()
-    assert len(got) == 2
-    assert all(t[:2] == ("sorted", 0) for t in got)
+    assert [payload for payload, _ in got] == ["near", "far"]
+    assert got[0][1] < got[1][1]
 
 
 def test_context_release_all_idempotent():

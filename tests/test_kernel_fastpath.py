@@ -5,13 +5,10 @@ events, lazy resource tombstones, callback-based packet walkers, agenda
 entries pushed without a call to ``Environment.schedule``) must be
 *observably free*: every test here pins behaviour that the optimisations
 could plausibly have changed — agenda ordering and entry contents,
-event-object lifecycle, eviction choices — and the equivalence tests
-assert that a full model run serialises byte-identically with pooling on
-and off.
+event-object lifecycle, eviction choices.  Whole-model runs are pinned
+by the golden digests (``tests/test_results_golden.py`` and the CPU,
+obs and transport goldens).
 """
-
-import dataclasses
-import json
 
 import pytest
 from hypothesis import given, settings
@@ -24,20 +21,11 @@ from repro.sim import (
     PreemptiveResource,
     SimulationError,
     Timeout,
-    set_event_pooling,
 )
 from repro.sim.environment import _SEQ_MASK
 from repro.sim.events import NORMAL, URGENT, Initialize
 from repro.transputer import TransputerConfig
 from repro.transputer.cpu import HIGH, LOW, Cpu
-
-
-@pytest.fixture
-def pooling_restored():
-    """Restore the process-global pooling flag after the test."""
-    previous = set_event_pooling(True)
-    yield
-    set_event_pooling(previous)
 
 
 # -- agenda ordering under the packed key --------------------------------
@@ -82,7 +70,7 @@ def test_mixed_delays_and_priorities_interleave_deterministically():
 
 
 # -- pooled event lifecycle ----------------------------------------------
-def test_timeouts_are_recycled_and_reused(pooling_restored):
+def test_timeouts_are_recycled_and_reused():
     env = Environment()
 
     def ticker(env):
@@ -101,7 +89,7 @@ def test_timeouts_are_recycled_and_reused(pooling_restored):
     assert again.callbacks == [] and not again.processed
 
 
-def test_referenced_timeouts_are_not_recycled(pooling_restored):
+def test_referenced_timeouts_are_not_recycled():
     """A Timeout the model still holds must never be reset under it."""
     env = Environment()
     held = env.timeout(1.0)
@@ -110,21 +98,7 @@ def test_referenced_timeouts_are_not_recycled(pooling_restored):
     assert held.ok and held.processed
 
 
-def test_pooling_disabled_allocates_fresh_events(pooling_restored):
-    set_event_pooling(False)
-    env = Environment()
-
-    def ticker(env):
-        for _ in range(10):
-            yield env.timeout(1.0)
-
-    env.process(ticker(env))
-    env.run_all()
-    assert env._free_timeouts == []
-    assert env._free_inits == []
-
-
-def test_pooled_timeout_still_validates_delay(pooling_restored):
+def test_pooled_timeout_still_validates_delay():
     env = Environment()
 
     def ticker(env):
@@ -263,8 +237,7 @@ def test_succeed_and_fail_push_the_schedule_entry():
     event.defuse()
 
 
-def test_fresh_and_pooled_timeouts_push_the_schedule_entry(
-        pooling_restored):
+def test_fresh_and_pooled_timeouts_push_the_schedule_entry():
     env = _clock_at(1.25)
     assert not env._free_timeouts
     event, entry, seq = _armed(env, lambda: env.timeout(0.375))
@@ -280,8 +253,7 @@ def test_fresh_and_pooled_timeouts_push_the_schedule_entry(
     assert entry == _reference_entry(env, event, NORMAL, 0.125, seq)
 
 
-def test_fresh_and_pooled_initialize_push_the_schedule_entry(
-        pooling_restored):
+def test_fresh_and_pooled_initialize_push_the_schedule_entry():
     env = _clock_at(1.25)
     assert not env._free_inits
     event, entry, seq = _armed(env, lambda: env.kick(lambda e: None))
@@ -461,45 +433,3 @@ def test_mass_cancellation_compacts_the_queue():
     env.run_all()
     granted = [r for r in waiters if r.triggered]
     assert len(granted) == 1 and granted[0] is waiters[48]
-
-
-# -- pooling on/off equivalence (whole-model) ----------------------------
-def _figure_cell_doc():
-    from repro.experiments import ExperimentScale, run_cell
-
-    scale = ExperimentScale(
-        "tiny", num_small=2, num_large=1,
-        matmul_small=16, matmul_large=32,
-        sort_small=256, sort_large=512,
-        partition_sizes=(1, 4), topologies=("linear",),
-    )
-    cell = run_cell(3, "matmul", "fixed", 4, "linear", "timesharing", scale)
-    return json.dumps(dataclasses.asdict(cell), sort_keys=True)
-
-
-def _steady_smoke_doc():
-    from repro.experiments.steady import steady_cell
-
-    result = steady_cell("static", rate=4.0, duration=30.0, nodes=4, seed=3)
-    doc = {
-        "arrived": result.jobs_arrived,
-        "completed": result.jobs_completed,
-        "mean": result.mean_response_time,
-        "steady": result.steady,
-        "summary": result.summary,
-    }
-    return json.dumps(doc, sort_keys=True, default=repr)
-
-
-@pytest.mark.parametrize("doc_fn", [_figure_cell_doc, _steady_smoke_doc],
-                         ids=["figure3-cell", "steady-smoke"])
-def test_pooling_on_off_documents_are_byte_identical(doc_fn,
-                                                     pooling_restored):
-    """Event pooling is a pure allocation strategy: a closed figure-3
-    cell and an open steady-state run must serialise byte-for-byte the
-    same with pooling on and off."""
-    set_event_pooling(True)
-    with_pooling = doc_fn()
-    set_event_pooling(False)
-    without_pooling = doc_fn()
-    assert with_pooling == without_pooling

@@ -138,6 +138,33 @@ def test_bootstrap_handles_degenerate_inputs():
     assert d == lo == hi == 0.5
 
 
+@pytest.mark.parametrize("resamples", [0, -3, float("nan")])
+def test_bootstrap_refuses_fewer_than_one_resample(resamples):
+    with pytest.raises(ValueError, match="resamples"):
+        bootstrap_mean_delta([1.0, 2.0], [1.5, 2.5], resamples=resamples)
+    with pytest.raises(ValueError, match="resamples"):
+        bootstrap_paired_delta([0.5, 0.5], resamples=resamples)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"resamples": 0}, {"resamples": -3},
+    {"min_effect": float("nan")}, {"min_effect": float("inf")},
+    {"min_effect": -0.01},
+], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
+def test_diff_runs_refuses_arguments_that_break_the_gate(kwargs):
+    """The library path refuses what the CLI refuses at parsing: no
+    resamples leave no interval, and a NaN effect bound makes no cell
+    significant, silently disarming the gate."""
+    base = attrib_doc(attrib_cell("4L", "static", BASE_RTS))
+    cand = attrib_doc(attrib_cell("4L", "static",
+                                  [v * 1.5 for v in BASE_RTS]))
+    name = next(iter(kwargs))
+    with pytest.raises(ValueError, match=name):
+        diff_runs(bundle(attrib=base), bundle(attrib=cand), **kwargs)
+    with pytest.raises(ValueError, match=name):
+        diff_runs(bundle(), bundle(), **kwargs)  # no cells to bootstrap
+
+
 def test_cell_seed_is_stable_identity_hash():
     assert _cell_seed((4, "4L", "static")) == _cell_seed((4, "4L", "static"))
     assert _cell_seed((4, "4L", "static")) != _cell_seed((4, "8L", "static"))

@@ -314,9 +314,9 @@ def test_store_capacity_blocks_put():
     assert log == [("a-in", 0), ("b-in", 5)]
 
 
-def test_filter_store_matches_predicate():
+def test_filter_store_matches_key():
     env = Environment()
-    s = FilterStore(env)
+    s = FilterStore(env, lambda x: x % 2)
     out = []
 
     def producer(env):
@@ -324,31 +324,32 @@ def test_filter_store_matches_predicate():
             yield s.put(i)
 
     def consumer(env):
-        item = yield s.get(lambda x: x % 2 == 0)
+        item = yield s.get(0)
         out.append(item)
-        item = yield s.get(lambda x: x % 2 == 0)
+        item = yield s.get(0)
         out.append(item)
 
     env.process(producer(env))
     env.process(consumer(env))
     env.run()
     assert out == [2, 4]
-    assert list(s.items) == [1, 3]
+    assert len(s) == 2
+    assert [s.get(1).value for _ in range(2)] == [1, 3]
 
 
 def test_filter_store_blocked_getter_skipped():
-    """A getter waiting for an absent item must not block other getters."""
+    """A getter waiting for an absent key must not block other getters."""
     env = Environment()
-    s = FilterStore(env)
+    s = FilterStore(env, lambda x: x)
     out = []
 
     def never(env):
-        item = yield s.get(lambda x: x == "unicorn")
+        item = yield s.get("unicorn")
         out.append(item)
 
     def normal(env):
         yield env.timeout(1)
-        item = yield s.get(lambda x: x == "horse")
+        item = yield s.get("horse")
         out.append((item, env.now))
 
     def producer(env):

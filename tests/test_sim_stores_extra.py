@@ -1,5 +1,7 @@
 """Additional coverage for stores/containers: cancellation, bounds."""
 
+from collections import deque
+
 import pytest
 
 from repro.sim import Container, Environment, FilterStore, Store
@@ -83,23 +85,34 @@ def test_container_cancel_pending_put():
 
 
 def test_filter_store_cancel_releases_waiter():
+    """A cancelled waiter leaves its key's queue: the next getter of
+    that key takes the item, and no waiter deque is left behind."""
     env = Environment()
-    s = FilterStore(env)
+    s = FilterStore(env, lambda item: item)
+    got = []
 
-    def never(env):
-        get = s.get(lambda x: x == "unicorn")
+    def impatient(env):
+        get = s.get("unicorn")
         result = yield get | env.timeout(1)
         if get not in result:
             s.cancel(get)
+            s.cancel(get)  # a second cancel is a no-op
 
-    def normal(env):
+    def patient(env):
+        yield env.timeout(0.5)
+        got.append(((yield s.get("unicorn")), env.now))
+
+    def producer(env):
         yield env.timeout(2)
         yield s.put("unicorn")
 
-    env.process(never(env))
-    env.process(normal(env))
+    env.process(impatient(env))
+    env.process(patient(env))
+    env.process(producer(env))
     env.run()
-    assert list(s.items) == ["unicorn"]
+    assert got == [("unicorn", 2)]
+    assert len(s) == 0
+    assert s._waiters == {} and s._items == {}
 
 
 def test_cancel_foreign_event_raises():
@@ -132,10 +145,10 @@ def test_cancel_after_trigger_is_noop():
 
 def test_keyed_filter_store_cancel_releases_waiter():
     env = Environment()
-    s = FilterStore(env, key=lambda item: item)
+    s = FilterStore(env, lambda item: item)
 
     def never(env):
-        get = s.get(key="unicorn")
+        get = s.get("unicorn")
         result = yield get | env.timeout(1)
         if get not in result:
             s.cancel(get)
@@ -147,54 +160,56 @@ def test_keyed_filter_store_cancel_releases_waiter():
     env.process(never(env))
     env.process(normal(env))
     env.run()
-    assert list(s.pending_items()) == ["unicorn"]
+    assert len(s) == 1  # stored, not handed to the cancelled getter
+    assert s._items == {"unicorn": deque(["unicorn"])}
+    assert s._waiters == {}
 
 
 @pytest.mark.parametrize("get_first", [True, False])
 def test_keyed_filter_store_drops_emptied_key_deques(get_first):
     """Round trips on distinct keys — job-scoped mailbox tags — leave no
-    per-key waiter or index deque behind, so a long run's store does
+    per-key waiter or item deque behind, so a long run's store does
     not grow with the number of keys it has ever seen."""
     env = Environment()
-    s = FilterStore(env, key=lambda item: item[0])
-    n = 50  # not a multiple of the compaction batch
+    s = FilterStore(env, lambda item: item[0])
+    n = 50
     got = []
 
     def trip(env, k):
         if get_first:
-            get = s.get(key=k)
+            get = s.get(k)
             yield env.timeout(1)
             yield s.put((k, "payload"))
             got.append((yield get))
         else:
             yield s.put((k, "payload"))
             yield env.timeout(1)
-            got.append((yield s.get(key=k)))
+            got.append((yield s.get(k)))
 
     for k in range(n):
         env.process(trip(env, k))
     env.run()
     assert sorted(got) == [(k, "payload") for k in range(n)]
     assert len(s) == 0
-    assert s._kwaiters == {}
-    assert s._by_key == {}
+    assert s._waiters == {}
+    assert s._items == {}
 
 
 def test_keyed_filter_store_drops_key_after_shedding_cancelled_waiter():
     env = Environment()
-    s = FilterStore(env, key=lambda item: item[0])
+    s = FilterStore(env, lambda item: item[0])
 
     def proc(env):
-        get = s.get(key="tag")
-        s.cancel(get)
-        yield s.put(("tag", 1))   # sheds the cancelled waiter
-        assert s._kwaiters == {}
-        assert (yield s.get(key="tag")) == ("tag", 1)
+        get = s.get("tag")
+        s.cancel(get)             # the waiter's deque goes with it
+        assert s._waiters == {}
+        yield s.put(("tag", 1))   # stored: nobody is waiting
+        assert (yield s.get("tag")) == ("tag", 1)
 
     env.process(proc(env))
     env.run()
-    assert s._kwaiters == {}
-    assert s._by_key == {}
+    assert s._waiters == {}
+    assert s._items == {}
 
 
 def test_store_capacity_validation():

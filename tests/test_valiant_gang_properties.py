@@ -66,8 +66,8 @@ def test_valiant_network_delivers_under_hotspot_traffic():
     net = Network(env, nodes, ring(range(8)), cfg, routing="valiant")
 
     def receiver(env):
-        for _ in range(7):
-            yield net.recv(0)
+        for src in range(1, 8):
+            yield net.recv(0, tag=("h", src))
 
     for src in range(1, 8):
         net.send(src, 0, 20_000, tag=("h", src))
@@ -89,8 +89,8 @@ def test_valiant_diffuses_link_load():
         net = Network(env, nodes, ring(range(8)), cfg, routing=routing)
 
         def receiver(env):
-            for _ in range(20):
-                yield net.recv(4)
+            for k in range(20):
+                yield net.recv(4, tag=("f", k))
 
         for k in range(20):
             net.send(0, 4, 8_000, tag=("f", k))
