@@ -210,7 +210,8 @@ def test_cpu_round_robin(benchmark):
     agenda events (switch, slice) and two continuations of the CPU's
     dispatch machine.  Every 10 ms a 100 us high-priority burst arrives
     on each CPU and preempts the running slice, so the interrupt path
-    (abandoned slice timer, credited partial slice) runs too.  The event
+    (credited partial slice, abandoned slice entry popping as a no-op)
+    runs too.  The event
     count is fixed by the model; a change to it is a behaviour change,
     not a speed change (GUIDE §16).
     """

@@ -22,19 +22,19 @@ no intermediate buffering, but a message holds every link on its path
 from header arrival to tail departure.
 """
 
-from repro.comm.channel import Channel, ChannelError
-from repro.comm.collectives import (
-    CollectiveContext,
-    barrier,
-    broadcast,
-    gather,
-    reduce,
-    scatter,
-)
-from repro.comm.mailbox import Mailbox
-from repro.comm.message import Message, Packet
-from repro.comm.network import Network, NetworkStats
-from repro.comm.wormhole import WormholeNetwork
+from repro import _lazy_exports
+
+# Names resolve on first use: a store-and-forward run loads none of the
+# wormhole network, the channels or the collectives.
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "channel": ("Channel", "ChannelError"),
+    "collectives": ("CollectiveContext", "barrier", "broadcast", "gather",
+                    "reduce", "scatter"),
+    "mailbox": ("Mailbox",),
+    "message": ("Message", "Packet"),
+    "network": ("Network", "NetworkStats"),
+    "wormhole": ("WormholeNetwork",),
+})
 
 __all__ = [
     "Channel",

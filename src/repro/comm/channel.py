@@ -86,7 +86,7 @@ class _TransferWalker:
         self.payload = payload
         channel.env.kick(self._start)
 
-    def _start(self, _event):
+    def _start(self, _key):
         channel = self.channel
         work = channel.src.cpu.execute(
             channel.config.message_overhead, HIGH, tag="chan"

@@ -295,7 +295,7 @@ class _MessageWalker:
         self.done = Event(env)
         env.kick(self._start)
 
-    def _start(self, _event):
+    def _start(self, _key):
         network = self.network
         message = self.message
         cfg = network.config
@@ -453,7 +453,7 @@ class _PacketWalker:
         self.done = Event(env)
         env.kick(self._next_hop)
 
-    def _next_hop(self, _event=None):
+    def _next_hop(self, _key=None):
         hop = self.hop
         pools = self.pools
         if hop == len(pools):

@@ -10,7 +10,7 @@ machine) as an instance of the experiment's topology — the figure label
 
 from __future__ import annotations
 
-from repro.comm import Network, WormholeNetwork
+from repro.comm import Network
 from repro.topology import make_topology
 
 
@@ -52,14 +52,18 @@ class Partition:
         self.topology = make_topology(
             topology_name, self.node_ids, **(topology_kwargs or {})
         )
-        net_cls = {"store_forward": Network, "wormhole": WormholeNetwork}
-        try:
-            cls = net_cls[switching]
-        except KeyError:
+        if switching == "store_forward":
+            cls = Network
+        elif switching == "wormhole":
+            # Only the wormhole ablation (E6) loads its network.
+            from repro.comm.wormhole import WormholeNetwork
+
+            cls = WormholeNetwork
+        else:
             raise ValueError(
                 f"unknown switching {switching!r}; expected one of "
-                f"{sorted(net_cls)}"
-            ) from None
+                f"['store_forward', 'wormhole']"
+            )
         self.network = cls(env, self.nodes, self.topology, config,
                            routing=routing)
         #: Set by the MulticomputerSystem once schedulers exist.

@@ -166,10 +166,16 @@ def _mean(xs):
     return sum(xs) / len(xs) if xs else 0.0
 
 
-def _check_resamples(resamples):
-    """Refuse a resample count that leaves no bootstrap distribution."""
+def _check_bootstrap(resamples, confidence):
+    """Refuse a resample count that leaves no bootstrap distribution, and
+    a confidence level outside (0, 1): 1 or more silently gives the
+    widest interval, 0 or less a zero-width one at the point estimate."""
     if not resamples >= 1:
         raise ValueError(f"resamples must be >= 1, got {resamples!r}")
+    if not 0 < confidence < 1:  # NaN fails this comparison too
+        raise ValueError(
+            f"confidence must be strictly between 0 and 1, "
+            f"got {confidence!r}")
 
 
 def _percentile_ci(deltas, point, confidence, resamples):
@@ -189,9 +195,9 @@ def bootstrap_mean_delta(base, cand, resamples=DEFAULT_RESAMPLES,
     ``[lo, hi]`` covers the requested two-sided confidence level.  The
     RNG is seeded explicitly so the same inputs always produce the same
     interval — CI verdicts must be reproducible.  ``resamples`` must be
-    at least 1.
+    at least 1 and ``0 < confidence < 1``.
     """
-    _check_resamples(resamples)
+    _check_bootstrap(resamples, confidence)
     delta = _mean(cand) - _mean(base)
     if not base or not cand:
         return delta, delta, delta
@@ -216,9 +222,9 @@ def bootstrap_paired_delta(diffs, resamples=DEFAULT_RESAMPLES,
     jobs) and an unpaired interval would drown a uniform 5% slowdown
     in that between-job variance, while the paired interval sees every
     job move.  Returns ``(delta, lo, hi)``; ``resamples`` must be at
-    least 1.
+    least 1 and ``0 < confidence < 1``.
     """
-    _check_resamples(resamples)
+    _check_bootstrap(resamples, confidence)
     delta = _mean(diffs)
     if not diffs:
         return delta, delta, delta
@@ -483,10 +489,11 @@ def diff_runs(baseline, candidate, *, min_effect=DEFAULT_MIN_EFFECT,
     exactly zero significant deltas, and any genuine model change shows
     up with its responsible wait-state buckets attached.
 
-    Raises ``ValueError`` for ``resamples < 1`` or a NaN, infinite or
-    negative ``min_effect``: either would make the gate fail to gate.
+    Raises ``ValueError`` for ``resamples < 1``, a ``confidence``
+    outside (0, 1), or a NaN, infinite or negative ``min_effect``: any
+    of them would make the gate fail to gate.
     """
-    _check_resamples(resamples)
+    _check_bootstrap(resamples, confidence)
     if not 0 <= min_effect < math.inf:
         raise ValueError(
             f"min_effect must be finite and >= 0, got {min_effect!r}")

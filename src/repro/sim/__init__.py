@@ -24,27 +24,20 @@ order of scheduling (a monotone sequence number breaks ties), so two runs
 of the same model always produce identical traces.
 """
 
-from repro.sim.environment import Environment
-from repro.sim.events import (
-    URGENT,
-    NORMAL,
-    AllOf,
-    AnyOf,
-    ConditionValue,
-    Event,
-    Interrupt,
-    Process,
-    Timeout,
-)
-from repro.sim.exceptions import SimulationError, StopProcess
-from repro.sim.monitoring import Sampler, Tally, TimeWeightedValue
-from repro.sim.resources import (
-    PreemptiveResource,
-    Preempted,
-    PriorityResource,
-    Resource,
-)
-from repro.sim.stores import Container, FilterStore, Store
+from repro import _lazy_exports
+
+# Names resolve on first use: a run loads the kernel modules it touches,
+# not the resources and monitors only some models use.
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "environment": ("Environment",),
+    "events": ("NORMAL", "URGENT", "AllOf", "AnyOf", "ConditionValue",
+               "Event", "Interrupt", "Process", "Timeout"),
+    "exceptions": ("SimulationError", "StopProcess"),
+    "monitoring": ("Sampler", "Tally", "TimeWeightedValue"),
+    "resources": ("PreemptiveResource", "Preempted", "PriorityResource",
+                  "Resource"),
+    "stores": ("Container", "FilterStore", "Store"),
+})
 
 __all__ = [
     "AllOf",

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
+from math import inf
 from sys import getrefcount
+from types import MethodType
 
 from repro.sim.events import (
     NORMAL,
@@ -15,7 +17,6 @@ from repro.sim.events import (
     AllOf,
     AnyOf,
     Event,
-    Initialize,
     Process,
     Timeout,
 )
@@ -58,26 +59,35 @@ class Environment:
     """Execution environment for a discrete-event simulation.
 
     The environment maintains the simulated clock (:attr:`now`) and an
-    agenda of triggered events ordered by ``(time, priority, sequence)``
-    — stored as ``(time, packed_key, event)`` heap entries, where the
-    packed key folds priority and sequence into one integer (see
-    :data:`~repro.sim.events.PRIORITY_SHIFT`).  Processing an event runs
-    its callbacks, which typically resume waiting processes, which
-    trigger further events, and so on.
+    agenda ordered by ``(time, priority, sequence)`` — stored as
+    ``(time, packed_key, item)`` heap entries, where the packed key
+    folds priority and sequence into one integer (see
+    :data:`~repro.sim.events.PRIORITY_SHIFT`).  An entry's item is an
+    :class:`Event`, whose processing runs its callbacks (which
+    typically resume waiting processes, which trigger further events,
+    and so on), or a bound method, a *continuation entry*, which the
+    loop calls once with the entry's key (see :meth:`kick`).  Either
+    kind counts as one processed event.
 
     Determinism: the monotone sequence number guarantees FIFO processing
-    of same-time, same-priority events, so repeated runs of the same
+    of same-time, same-priority entries, so repeated runs of the same
     model produce identical traces.
 
     Parameters
     ----------
     initial_time:
-        Starting value of the clock (default ``0.0``).
+        Starting value of the clock (default ``0.0``); it must be
+        finite, or ``ValueError`` is raised.
     """
 
     def __init__(self, initial_time=0.0):
+        # A non-finite clock never advances, and entries would pop in
+        # sequence order whatever their delays.
+        if not -inf < initial_time < inf:
+            raise ValueError(
+                f"initial_time must be finite, got {initial_time!r}")
         self._now = initial_time
-        self._queue = []  # heap of (time, (priority << 56) | seq, event)
+        self._queue = []  # heap of (time, (priority << 56) | seq, item)
         self._seq = count()
         self._active_process = None
         #: Number of events processed so far (useful for budget guards
@@ -104,10 +114,9 @@ class Environment:
         #: recording site guards on it (hot components snapshot it at
         #: construction), so decisions cost nothing when disabled.
         self.decisions = None
-        #: Free lists of processed Timeout/Initialize events, reused by
-        #: :meth:`timeout` and :meth:`kick` (see :meth:`_recycle`).
+        #: Free list of processed Timeouts, reused by :meth:`timeout`
+        #: (see :meth:`_recycle`).
         self._free_timeouts = []
-        self._free_inits = []
 
     # -- introspection ---------------------------------------------------
     @property
@@ -153,21 +162,19 @@ class Environment:
         return Timeout(self, delay, value)
 
     def kick(self, callback):
-        """Schedule ``callback`` to run once, urgently, at the current time.
+        """Run the bound method ``callback`` once, urgently, now.
 
-        The pooled factory behind process initialisation and
-        callback-driven state machines (see
-        :class:`~repro.comm.network.Network`).  Returns the
-        :class:`Initialize` event carrying the callback.
+        Pushes the continuation entry ``(now + 0.0, seq, callback)``:
+        the time and URGENT key ``schedule(event, URGENT)`` would give
+        an event, with ``callback`` in the event's place; the loop calls
+        it with the key.  Process start-up, the CPU's boot and
+        interrupts and the comm walkers' first steps are kicks.  The
+        loop tells a continuation from an event by its class, so
+        anything but a bound method raises ``TypeError``.
         """
-        free = self._free_inits
-        if free:
-            event = free.pop()
-            event.callbacks = [callback]
-            heappush(self._queue,
-                     (self._now, next(self._seq), event))  # URGENT: key=seq
-            return event
-        return Initialize(self, callback)
+        if callback.__class__ is not MethodType:
+            raise TypeError(f"kick needs a bound method, got {callback!r}")
+        heappush(self._queue, (self._now + 0.0, next(self._seq), callback))
 
     def process(self, generator, name=None):
         """Start a new :class:`Process` driving ``generator``."""
@@ -187,11 +194,13 @@ class Environment:
 
         The public arming call, for cold paths: process failure,
         interrupts and tests.  The hot triggers (``succeed``/``fail``,
-        new and pooled ``Timeout``/``Initialize``, :meth:`handoff`'s
-        fallback and the CPU's slice timer) push the entry this builds
-        themselves, without the call.  A NaN delay would poison the heap
-        order and a negative one would move the clock backwards, so both
-        raise, as does a priority other than ``URGENT``/``NORMAL``.
+        new and pooled ``Timeout``, :meth:`handoff`'s fallback) push the
+        entry this builds themselves, without the call, and
+        :meth:`kick` and the CPU's arms push the same time and key with
+        a continuation in the event's place.  A NaN delay would poison
+        the heap order and a negative one would move the clock
+        backwards, so both raise, as does a priority other than
+        ``URGENT``/``NORMAL``.
         """
         if not delay >= 0:  # NaN fails this comparison too
             raise ValueError(f"invalid delay {delay}")
@@ -275,24 +284,20 @@ class Environment:
         the caller's local, this function's argument, and the probe
         argument (the loop inlined in :meth:`run` uses 2: loop local +
         probe).  That proves no model code kept a handle, so reuse
-        cannot be observed.  Only exact :class:`Timeout` / :class:`Initialize`
-        instances are pooled; both are always-ok events, so the
-        unhandled-failure check is skipped for them.
+        cannot be observed.  Only exact :class:`Timeout` instances are
+        pooled; they are always-ok events, so the unhandled-failure
+        check is skipped for them.
         """
-        cls = event.__class__
-        if cls is Timeout:
+        if event.__class__ is Timeout:
             if getrefcount(event) == 3:
                 event._value = None
                 self._free_timeouts.append(event)
-        elif cls is Initialize:
-            if getrefcount(event) == 3:
-                self._free_inits.append(event)
         elif not event._ok and not event._defused:
             # An unhandled failure: surface it so bugs don't pass silently.
             raise event._value
 
     def step(self):
-        """Process the next scheduled event.
+        """Process the next agenda entry: an event or a continuation.
 
         Raises
         ------
@@ -300,7 +305,7 @@ class Environment:
             If no events remain.
         """
         try:
-            self._now, _, event = heappop(self._queue)
+            self._now, key, event = heappop(self._queue)
         except IndexError:
             raise EmptySchedule("no scheduled events") from None
 
@@ -309,6 +314,9 @@ class Environment:
         # below) must not leave the counter understating the number of
         # events the loop consumed.
         self.events_processed += 1
+        if event.__class__ is MethodType:
+            event(key)  # a continuation entry (see :meth:`kick`)
+            return
         callbacks, event.callbacks = event.callbacks, None
         # Tail-flag discipline (here and in :meth:`run`'s loop): the flag
         # is True while the callback being dispatched is the last of its
@@ -339,11 +347,13 @@ class Environment:
             return its value (re-raising its exception if it failed).
 
         The loop is :meth:`step` inlined, with every per-event attribute
-        load hoisted into a local: the heap, ``heappop``, the free
-        lists and the class probes.  The
-        events-processed counter is accumulated locally and flushed in
-        the ``finally`` (exactly once per consumed event, even when a
-        callback raises); nothing reads it mid-run.
+        load hoisted into a local: the heap, ``heappop``, the free list
+        and the class probes.  The item's class is loaded once: a bound
+        method is a continuation entry, called with its key and done;
+        anything else is an event.  The events-processed counter is
+        accumulated locally and flushed in the ``finally`` (exactly once
+        per consumed entry, even when a callback raises); nothing reads
+        it mid-run.
         """
         if until is not None:
             if not isinstance(until, Event):
@@ -375,17 +385,20 @@ class Environment:
         pop = heappop
         refs = getrefcount
         free_timeouts = self._free_timeouts
-        free_inits = self._free_inits
         timeout_cls = Timeout
-        init_cls = Initialize
+        method_cls = MethodType
         n = 0
         try:
             while True:
                 try:
-                    self._now, _, event = pop(queue)
+                    self._now, key, event = pop(queue)
                 except IndexError:
                     raise EmptySchedule("no scheduled events") from None
                 n += 1
+                cls = event.__class__
+                if cls is method_cls:
+                    event(key)
+                    continue
                 callbacks, event.callbacks = event.callbacks, None
                 ncb = len(callbacks)
                 if ncb == 1:
@@ -397,14 +410,10 @@ class Environment:
                         callback(event)
                     self._tail_ok = True
                     callbacks[ncb](event)
-                cls = event.__class__
                 if cls is timeout_cls:
                     if refs(event) == 2:
                         event._value = None
                         free_timeouts.append(event)
-                elif cls is init_cls:
-                    if refs(event) == 2:
-                        free_inits.append(event)
                 elif not event._ok and not event._defused:
                     raise event._value
         except _StopSimulation as stop:

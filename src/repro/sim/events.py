@@ -23,13 +23,16 @@ URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
 
-#: Agenda entries are ``(time, key, event)`` heap tuples whose integer
-#: key packs ``(priority << PRIORITY_SHIFT) | seq``.  With priorities
-#: limited to URGENT (0) and NORMAL (1) and the monotone sequence far
-#: below 2**56 for any feasible run, integer comparison of the packed
-#: key is exactly the lexicographic comparison of a ``(priority, seq)``
-#: tuple tail — same total order, one less tuple slot per entry and one
-#: comparison instead of up to two during heap sifts.
+#: Agenda entries are ``(time, key, item)`` heap tuples whose integer
+#: key packs ``(priority << PRIORITY_SHIFT) | seq``.  The item is an
+#: :class:`Event`, or a bound method (a *continuation entry*, see
+#: :meth:`Environment.kick`) that the loop calls once with the key.
+#: With priorities limited to URGENT (0) and NORMAL (1) and the
+#: monotone sequence far below 2**56 for any feasible run, integer
+#: comparison of the packed key is exactly the lexicographic comparison
+#: of a ``(priority, seq)`` tuple tail — same total order, one less
+#: tuple slot per entry and one comparison instead of up to two during
+#: heap sifts.  Keys are unique, so a comparison never reaches the item.
 PRIORITY_SHIFT = 56
 #: A NORMAL entry's key is ``NORMAL_KEY | seq``; an URGENT entry's key
 #: is the bare sequence number.  Hot triggers push their entry with
@@ -174,25 +177,6 @@ class Timeout(Event):
         return f"<Timeout({self.delay}) at {id(self):#x}>"
 
 
-class Initialize(Event):
-    """Internal urgent event that runs one callback at the current time.
-
-    Used to start freshly created processes and to kick callback-driven
-    state machines (see :meth:`Environment.kick`).  The environment
-    recycles processed instances that nothing else references.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env, callback):
-        super().__init__(env)
-        self.callbacks = [callback]
-        self._ok = True
-        self._value = None
-        # URGENT: the key is the bare sequence number.
-        heappush(env._queue, (env._now + 0.0, next(env._seq), self))
-
-
 class Interrupt(Exception):
     """Asynchronous exception thrown into an interrupted process.
 
@@ -222,6 +206,17 @@ class _InterruptEvent(Event):
         env.schedule(self, priority=URGENT)
 
 
+class _Started:
+    """What every process starts from: ok, with the value ``None``."""
+
+    __slots__ = ()
+    _ok = True
+    _value = None
+
+
+_STARTED = _Started()
+
+
 class Process(Event):
     """A generator-driven simulation process.
 
@@ -248,7 +243,7 @@ class Process(Event):
         self._target = None
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
-        env.kick(self._resume_cb)
+        env.kick(self._start)
 
     @property
     def target(self):
@@ -275,6 +270,10 @@ class Process(Event):
         _InterruptEvent(self.env, self, cause)
 
     # -- internal ------------------------------------------------------
+    def _start(self, _key):
+        """The kicked continuation that first advances the generator."""
+        self._resume(_STARTED)
+
     def _resume_interrupt(self, event):
         """Deliver an interrupt, detaching from the current target."""
         if not self.is_alive:  # terminated between scheduling and delivery
@@ -288,7 +287,7 @@ class Process(Event):
 
     def _resume(self, event):
         """Advance the generator with the outcome of ``event``."""
-        if self._value is not PENDING:  # interrupted before init ran
+        if self._value is not PENDING:  # interrupted before its start ran
             return
         env = self.env
         env._active_process = self

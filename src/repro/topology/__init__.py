@@ -8,36 +8,21 @@ deterministic shortest-path routing (generic BFS plus dimension-order and
 e-cube strategies).
 """
 
-from repro.topology.extra import (
-    average_distance,
-    binary_tree,
-    bisection_width,
-    compare_topologies,
-    degree_histogram,
-    fully_connected,
-    link_count,
-    star,
-    torus,
-)
-from repro.topology.graph import Graph
-from repro.topology.routing import (
-    DimensionOrderRouter,
-    EcubeRouter,
-    RoutingTable,
-    ValiantRouter,
-    build_router,
-)
-from repro.topology.topologies import (
-    TOPOLOGY_CODES,
-    Topology,
-    hypercube,
-    linear_array,
-    make_topology,
-    mesh,
-    mesh_dims,
-    nap_pipelines,
-    ring,
-)
+from repro import _lazy_exports
+
+# Names resolve on first use: a run builds its topologies without
+# loading the extra generators and graph metrics.
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "extra": ("average_distance", "binary_tree", "bisection_width",
+              "compare_topologies", "degree_histogram", "fully_connected",
+              "link_count", "star", "torus"),
+    "graph": ("Graph",),
+    "routing": ("DimensionOrderRouter", "EcubeRouter", "RoutingTable",
+                "ValiantRouter", "build_router"),
+    "topologies": ("TOPOLOGY_CODES", "Topology", "hypercube",
+                   "linear_array", "make_topology", "mesh", "mesh_dims",
+                   "nap_pipelines", "ring"),
+})
 
 __all__ = [
     "DimensionOrderRouter",

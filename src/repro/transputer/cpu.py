@@ -116,36 +116,20 @@ class CpuStats:
         return (self.busy_time + self.overhead_time) / elapsed
 
 
-class _SliceTimer(Event):
-    """A CPU's private timer, re-armed by pushing its own agenda entry.
-
-    Each arm pushes ``(now + delay, NORMAL_KEY | seq, timer)`` straight
-    onto the environment's agenda: exactly the entry
-    :meth:`Environment.schedule` would build, without the call.
-    Deliberately not a :class:`~repro.sim.events.Timeout`: the event
-    loop pools only exact Timeouts, and a timer abandoned by an
-    interrupt must be freed once its stale agenda entry pops, not join
-    a free list that its CPU never draws from.
-    """
-
-    __slots__ = ()
-
-    def __init__(self, env):
-        super().__init__(env)
-        self._ok = True
-        self._value = None
-
-
 class Cpu:
     """Two-priority processor with round-robin low-priority sharing.
 
-    Dispatch is a callback state machine around one private
-    :class:`_SliceTimer`, armed for at most one thing at a time: the
-    idle wakeup, the context-switch overhead, or the slice.  Each arm
-    pushes the entry :meth:`Environment.schedule` would build, so it
-    gets the time and sequence number a freshly created Timeout (or a
-    succeeded wakeup Event) would get at that point; reusing the timer
-    is invisible to the trajectory.
+    Dispatch is a callback state machine with at most one agenda entry
+    armed at a time: the idle wakeup, the context-switch overhead, or
+    the slice.  Each arm pushes a continuation entry (see
+    :meth:`Environment.kick`): the time and NORMAL key that
+    :meth:`Environment.schedule` would give a freshly created Timeout
+    (or a succeeded wakeup Event) at that point, with the continuation,
+    bound once at construction, in the event's place.  No event is
+    built, so an arm allocates only the entry and its key.  A
+    preemption leaves the slice's entry queued; ``_armed`` holds the
+    key of the slice still wanted, so the abandoned entry pops as one
+    counted no-op.
     """
 
     def __init__(self, env, config, node_id=None):
@@ -180,18 +164,18 @@ class Cpu:
         self._slice_start = 0.0
         self._slice_len = 0.0
         # The agenda heap and its sequence counter, never rebound for
-        # the life of an environment: the timer's arms push onto them.
+        # the life of an environment: the arms push onto them.
         self._agenda = env._queue
         self._seq = env._seq
-        self._timer = _SliceTimer(env)
-        # One callback list per continuation, built once: the event loop
-        # only reads a popped event's list, and nothing but this CPU
-        # touches its timer, so arming never allocates.
-        self._wakeup_cbs = [self._dispatch_next]
-        self._overhead_cbs = [self._cb_overhead]
-        self._high_end_cbs = [self._cb_high_end]
-        self._low_end_cbs = [self._cb_low_end]
+        # The continuations the arms push, each bound once.
+        self._wakeup = self._dispatch_next
+        self._switch_end = self._cb_overhead
+        self._high_end = self._cb_high_end
+        self._low_end = self._cb_low_end
         self._interrupt_cb = self._cb_interrupt
+        #: Key of the armed slice's agenda entry, ``None`` once a
+        #: preemption abandoned it.
+        self._armed = None
         env.kick(self._dispatch_next)
 
     # -- public API -----------------------------------------------------
@@ -215,8 +199,8 @@ class Cpu:
             Process index within the owning job (telemetry attribution
             only; never affects scheduling).
         """
-        # Written so that NaN fails every check: the timer is re-armed
-        # without the validation ``env.timeout`` performs.
+        # Written so that NaN fails every check: the arms push their
+        # entries without the validation ``env.timeout`` performs.
         if not 0 <= work_seconds < inf:
             raise ValueError(f"work_seconds must be finite and >= 0, "
                              f"got {work_seconds}")
@@ -288,16 +272,16 @@ class Cpu:
     # Completion events are handed off (dispatched synchronously, skipping
     # the agenda) when the environment's ordering guards permit:
     # completing the slice is the machine's tail action, and the next
-    # slice's timer is always strictly in the future, so the handoff is
+    # slice's entry is always strictly in the future, so the handoff is
     # order-equivalent to scheduling the completion and popping it next.
+    # The continuations take the popped entry's key.
 
     def _notify_arrival(self, priority):
         if self._idle:
             self._idle = False
-            timer = self._timer
-            timer.callbacks = self._wakeup_cbs
             heappush(self._agenda, (self.env._now + 0.0,
-                                    NORMAL_KEY | next(self._seq), timer))
+                                    NORMAL_KEY | next(self._seq),
+                                    self._wakeup))
             return
         # A high arrival preempts a running low slice immediately; a low
         # arrival only matters if the current slice was extended past its
@@ -309,7 +293,7 @@ class Cpu:
             self._interrupt_requested = True
             self.env.kick(self._interrupt_cb)
 
-    def _dispatch_next(self, _event=None):
+    def _dispatch_next(self, _key=None):
         """Grant the CPU to the next ready request, or go idle.
 
         Also the boot and wakeup continuation.
@@ -323,14 +307,13 @@ class Cpu:
             return
         self._cur = req
         if self._overhead > 0:
-            timer = self._timer
-            timer.callbacks = self._overhead_cbs
             heappush(self._agenda, (self.env._now + self._overhead,
-                                    NORMAL_KEY | next(self._seq), timer))
+                                    NORMAL_KEY | next(self._seq),
+                                    self._switch_end))
         else:
             self._cb_overhead()
 
-    def _cb_overhead(self, _event=None):
+    def _cb_overhead(self, _key=None):
         """Overhead-end continuation: charge the switch, start the slice."""
         req = self._cur
         self._cur = None
@@ -341,11 +324,10 @@ class Cpu:
         first = req.started_at is None
         if first:
             req.started_at = now
-        timer = self._timer
         probe = self._probe
         if req.priority == HIGH:
             slice_len = req.remaining
-            timer.callbacks = self._high_end_cbs
+            end = self._high_end
             # The ledger counts no high-priority decision, so only
             # telemetry (a probe with a recorder) sees a high slice.
             if first and probe is not None and probe.append is not None:
@@ -364,7 +346,7 @@ class Cpu:
                 # is credited (see _notify_arrival).
                 slice_len = req.remaining
                 self._slice_interruptible = "extended"
-            timer.callbacks = self._low_end_cbs
+            end = self._low_end
             if probe is not None:
                 if probe.ledger is not None:
                     # The ledger's counter tier, kept on the probe: a
@@ -380,10 +362,10 @@ class Cpu:
         stats.dispatches += 1
         self._slice_start = now
         self._slice_len = slice_len
-        heappush(self._agenda,
-                 (now + slice_len, NORMAL_KEY | next(self._seq), timer))
+        key = self._armed = NORMAL_KEY | next(self._seq)
+        heappush(self._agenda, (now + slice_len, key, end))
 
-    def _cb_high_end(self, _event):
+    def _cb_high_end(self, _key):
         req = self._running
         burst = self._slice_len
         req.remaining = 0.0
@@ -399,18 +381,23 @@ class Cpu:
         self._dispatch_next()
         self.env.handoff(req)
 
-    def _cb_interrupt(self, _event):
-        # The pending slice timer's agenda entry stays queued; emptied,
-        # it pops as a no-op.  The CPU arms a fresh timer from now on,
-        # so the stale entry can never run a later continuation.
-        self._timer.callbacks = []
-        self._timer = _SliceTimer(self.env)
+    def _cb_interrupt(self, _key):
+        # The armed slice's agenda entry stays queued.  With ``_armed``
+        # cleared, no key matches it, so it pops as a no-op.
+        self._armed = None
         self._interrupt_requested = False
         self.stats.preemptions += 1
         self._cb_low_end(None, True)
 
-    def _cb_low_end(self, _event, preempted=False):
-        """Slice-end continuation: credit the slice, requeue, dispatch."""
+    def _cb_low_end(self, key, preempted=False):
+        """Slice-end continuation: credit the slice, requeue, dispatch.
+
+        An entry whose ``key`` is not the armed one belongs to a slice
+        a preemption already ended: a no-op.  The preemption path calls
+        with ``None``, the key it cleared.
+        """
+        if key != self._armed:
+            return
         env = self.env
         now = env._now
         req = self._running
@@ -458,10 +445,9 @@ class Cpu:
         # per-quantum path: the low queue now holds at least ``req``.
         self._cur = self._high.popleft() if self._high else self._low.popleft()
         if self._overhead > 0:
-            timer = self._timer
-            timer.callbacks = self._overhead_cbs
             heappush(self._agenda, (now + self._overhead,
-                                    NORMAL_KEY | next(self._seq), timer))
+                                    NORMAL_KEY | next(self._seq),
+                                    self._switch_end))
         else:
             self._cb_overhead()
 

@@ -27,30 +27,24 @@ best (smallest-first) and worst (largest-first) orders used to report
 the static policy fairly.
 """
 
-from repro.workload.application import (
-    ADAPTIVE,
-    FIXED,
-    Application,
-    SoftwareArchitectureError,
-)
-from repro.workload.arrivals import (
-    bursty_arrivals,
-    poisson_arrivals,
-    trace_arrivals,
-    uniform_arrivals,
-)
-from repro.workload.butterfly import ButterflyApplication
-from repro.workload.batch import (
-    BatchWorkload,
-    JobSpec,
-    standard_batch,
-)
-from repro.workload.costs import CostModel
-from repro.workload.matmul import MatMulApplication
-from repro.workload.pipeline import PipelineApplication
-from repro.workload.sort import SortApplication
-from repro.workload.stencil import StencilApplication
-from repro.workload.synthetic import SyntheticForkJoin
+from repro import _lazy_exports
+
+# Names resolve on first use: a figure run loads the paper's two
+# applications, not the arrival processes and the extra workloads.
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "application": ("ADAPTIVE", "FIXED", "Application",
+                    "SoftwareArchitectureError"),
+    "arrivals": ("bursty_arrivals", "poisson_arrivals", "trace_arrivals",
+                 "uniform_arrivals"),
+    "batch": ("BatchWorkload", "JobSpec", "standard_batch"),
+    "butterfly": ("ButterflyApplication",),
+    "costs": ("CostModel",),
+    "matmul": ("MatMulApplication",),
+    "pipeline": ("PipelineApplication",),
+    "sort": ("SortApplication",),
+    "stencil": ("StencilApplication",),
+    "synthetic": ("SyntheticForkJoin",),
+})
 
 __all__ = [
     "ADAPTIVE",

@@ -9,8 +9,9 @@ since imported everything, so each import check runs in a fresh
 interpreter and reports ``sys.modules`` back.
 
 The package surfaces (``repro.experiments``, ``repro.obs``,
-``repro.trace``) resolve their public names on first access; the last
-tests check that contract in-process.
+``repro.trace``, and the model's ``repro.sim``, ``repro.comm``,
+``repro.topology`` and ``repro.workload``) resolve their public names on
+first access; the last tests check that contract in-process.
 """
 
 import importlib
@@ -38,7 +39,20 @@ RECORDING = {
     "repro.trace", "repro.trace.recorder",
 }
 
-SURFACES = ("repro.experiments", "repro.obs", "repro.trace")
+SURFACES = ("repro.experiments", "repro.obs", "repro.trace", "repro.sim",
+            "repro.comm", "repro.topology", "repro.workload")
+
+#: Model modules no figure cell uses: the other transports and the
+#: collectives, the extra topologies, the kernel's resources and
+#: monitors (a recorded cell's first gauge loads the monitors), and the
+#: workloads the figures do not run.
+OFF_FIGURE_PATH = {
+    "repro.comm.channel", "repro.comm.collectives", "repro.comm.wormhole",
+    "repro.sim.monitoring", "repro.sim.resources", "repro.topology.extra",
+    "repro.workload.arrivals", "repro.workload.butterfly",
+    "repro.workload.pipeline", "repro.workload.stencil",
+    "repro.workload.synthetic",
+}
 
 _CELL = """
 from repro.experiments.config import ExperimentScale, figure_spec
@@ -84,12 +98,14 @@ def test_unrecorded_cell_loads_no_heavy_or_recording_module():
     modules = _loaded(_CELL.format(sink=None))
     assert _family(modules, *HEAVY) == set()
     assert _family(modules, "repro.obs", "repro.trace") == set()
+    assert modules & OFF_FIGURE_PATH == set()
 
 
 def test_recorded_cell_loads_exactly_the_recorders():
     modules = _loaded(_CELL.format(sink=[]))
     assert _family(modules, "repro.obs", "repro.trace") == RECORDING
     assert _family(modules, *HEAVY) == set()
+    assert modules & OFF_FIGURE_PATH == {"repro.sim.monitoring"}
 
 
 #: Never loaded by parsing the command line alone: no model, no

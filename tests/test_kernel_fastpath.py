@@ -1,14 +1,20 @@
 """Regression coverage for the kernel fast path.
 
-The hot-path speed pass (packed agenda keys, pooled Timeout/Initialize
-events, lazy resource tombstones, callback-based packet walkers, agenda
-entries pushed without a call to ``Environment.schedule``) must be
-*observably free*: every test here pins behaviour that the optimisations
-could plausibly have changed — agenda ordering and entry contents,
-event-object lifecycle, eviction choices.  Whole-model runs are pinned
-by the golden digests (``tests/test_results_golden.py`` and the CPU,
-obs and transport goldens).
+The hot-path speed pass (packed agenda keys, pooled Timeout events,
+lazy resource tombstones, callback-based packet walkers, agenda entries
+pushed without a call to ``Environment.schedule``, and continuation
+entries: kicks and the CPU's arms push a bound method in an event's
+place) must be *observably free*: every test here pins behaviour that
+the optimisations could plausibly have changed — agenda ordering and
+entry contents, event-object lifecycle, abandoned CPU slices, eviction
+choices.  Whole-model runs are pinned by the golden digests
+(``tests/test_results_golden.py`` and the CPU, obs and transport
+goldens).
 """
+
+import dataclasses
+from collections import deque
+from types import MethodType
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +29,7 @@ from repro.sim import (
     Timeout,
 )
 from repro.sim.environment import _SEQ_MASK
-from repro.sim.events import NORMAL, URGENT, Initialize
+from repro.sim.events import NORMAL, URGENT
 from repro.transputer import TransputerConfig
 from repro.transputer.cpu import HIGH, LOW, Cpu
 
@@ -202,10 +208,22 @@ def test_schedule_rejects_bad_delay_and_priority(kwargs, match):
 # Every hot trigger pushes its own agenda entry.  The contract: the entry
 # is exactly the one ``Environment.schedule`` builds, i.e.
 # ``(now + delay, (priority << 56) | seq, event)``, drawing one sequence
-# number at the point of the trigger.
-def _reference_entry(env, event, priority, delay, seq):
-    """The entry ``schedule(event, priority, delay)`` builds."""
-    return (env._now + delay, (priority << 56) | seq, event)
+# number at the point of the trigger.  A kick or a CPU arm pushes the
+# same time and key with its continuation, a bound method, in the
+# event's place.
+def _reference_entry(env, item, priority, delay, seq):
+    """The entry ``schedule(item, priority, delay)`` builds."""
+    return (env._now + delay, (priority << 56) | seq, item)
+
+
+class _Sink:
+    """Owner of a continuation that records the keys it is called with."""
+
+    def __init__(self):
+        self.keys = []
+
+    def cont(self, key):
+        self.keys.append(key)
 
 
 def _armed(env, trigger):
@@ -253,19 +271,45 @@ def test_fresh_and_pooled_timeouts_push_the_schedule_entry():
     assert entry == _reference_entry(env, event, NORMAL, 0.125, seq)
 
 
-def test_fresh_and_pooled_initialize_push_the_schedule_entry():
+def test_kick_pushes_the_schedule_entry_with_the_continuation():
     env = _clock_at(1.25)
-    assert not env._free_inits
-    event, entry, seq = _armed(env, lambda: env.kick(lambda e: None))
-    assert type(event) is Initialize
-    assert entry == _reference_entry(env, event, URGENT, 0.0, seq)
-    del event, entry
+    sink = _Sink()
+    callback = sink.cont
+    result, entry, seq = _armed(env, lambda: env.kick(callback))
+    assert result is None
+    assert entry == _reference_entry(env, callback, URGENT, 0.0, seq)
+    assert entry[2] is callback
+    # The loop calls the continuation once, with the entry's key.
     env.run_all()
-    assert env._free_inits
-    recycled = env._free_inits[-1]
-    event, entry, seq = _armed(env, lambda: env.kick(lambda e: None))
-    assert event is recycled
-    assert entry == _reference_entry(env, event, URGENT, 0.0, seq)
+    assert sink.keys == [seq]
+    assert env.events_processed == 2  # the clock's deadline and the kick
+
+
+@pytest.mark.parametrize("callback", [lambda e: None, print, [].append,
+                                      _Sink.cont, None],
+                         ids=["lambda", "builtin", "builtin-method",
+                              "function", "none"])
+def test_kick_refuses_anything_but_a_bound_method(callback):
+    """The loop tells a continuation from an event by its class, so a
+    kick of anything but a bound method fails at the call."""
+    env = Environment()
+    with pytest.raises(TypeError, match="bound method"):
+        env.kick(callback)
+    assert env._queue == []
+    assert next(env._seq) == 0  # no sequence number drawn
+
+
+def test_step_runs_a_continuation_entry():
+    env = _clock_at(1.25)
+    processed = env.events_processed
+    sink = _Sink()
+    env.kick(sink.cont)
+    ((_, key, _),) = env._queue
+    env.step()
+    assert sink.keys == [key]
+    assert env.events_processed == processed + 1
+    assert env.handoffs == 0
+    assert env.now == 1.25 and env._queue == []
 
 
 def test_handoff_fallback_pushes_the_schedule_entry():
@@ -284,28 +328,85 @@ def test_handoff_fallback_pushes_the_schedule_entry():
 def test_cpu_wakeup_switch_and_slice_arms_push_the_schedule_entry():
     env = _clock_at(1.25)
     config = TransputerConfig()
+    overhead = config.context_switch_overhead
     cpu = Cpu(env, config, node_id=0)
     env.run_all()  # boot: the CPU finds no work and goes idle
-    timer = cpu._timer
-    # Wakeup: an arrival at an idle CPU arms the timer with no delay.
+    # Wakeup: an arrival at an idle CPU arms the wakeup with no delay.
     _, entry, seq = _armed(env, lambda: cpu.execute(0.005, LOW))
     cpu.execute(0.005, LOW)
-    assert entry == _reference_entry(env, timer, NORMAL, 0.0, seq)
+    assert entry == _reference_entry(env, cpu._wakeup, NORMAL, 0.0, seq)
     # Switch after a dispatch: the wakeup pops and the CPU pays the
     # context switch before the first slice.
     _, entry, seq = _armed(env, env.step)
-    assert entry == _reference_entry(
-        env, timer, NORMAL, config.context_switch_overhead, seq)
-    # Slice: one quantum, since another request is waiting.
+    assert entry == _reference_entry(env, cpu._switch_end, NORMAL,
+                                     overhead, seq)
+    # Slice: one quantum, since another request is waiting.  Its key is
+    # the armed one.
     _, entry, seq = _armed(env, env.step)
     assert cpu._slice_len == config.quantum
-    assert entry == _reference_entry(env, timer, NORMAL, config.quantum,
-                                     seq)
+    assert entry == _reference_entry(env, cpu._low_end, NORMAL,
+                                     config.quantum, seq)
+    assert cpu._armed == entry[1]
     # Switch after a requeue: the quantum expires, the request goes to
     # the back of the queue and the next one pays the switch.
     _, entry, seq = _armed(env, env.step)
-    assert entry == _reference_entry(
-        env, timer, NORMAL, config.context_switch_overhead, seq)
+    assert entry == _reference_entry(env, cpu._switch_end, NORMAL,
+                                     overhead, seq)
+    # A high burst waits for the switch, then runs its whole length.
+    env.run_all()
+    burst = 1e-4
+    cpu.execute(burst, HIGH)
+    env.step()  # the wakeup
+    env.step()  # the switch
+    (entry,) = env._queue
+    assert entry[1] == cpu._armed
+    assert entry == (env._now + burst, entry[1], cpu._high_end)
+
+
+def _cpu_state(cpu):
+    """Everything a CPU continuation could change, by value."""
+    state = {name: list(value) if isinstance(value, deque) else value
+             for name, value in vars(cpu).items()}
+    state["stats"] = dataclasses.astuple(cpu.stats)
+    state["_paused"] = {tag: list(q) for tag, q in cpu._paused.items()}
+    for name in ("_running", "_cur"):
+        req = state[name]
+        if req is not None:
+            state[name] = (req, req.remaining, req.cpu_time, req.slices)
+    return state
+
+
+def test_preempted_slice_entry_pops_as_one_counted_no_op():
+    """A preemption ends the low slice early and leaves its entry on the
+    agenda; when that entry pops, it counts as one event and changes
+    nothing."""
+    env = Environment()
+    config = TransputerConfig()
+    cpu = Cpu(env, config, node_id=0)
+    env.run_all()  # boot: idle
+    low = cpu.execute(0.01, LOW)
+    env.step()  # the wakeup
+    env.step()  # the switch: the sole request runs one extended slice
+    (abandoned,) = env._queue
+    assert abandoned[2] is cpu._low_end
+    assert abandoned[1] == cpu._armed
+    cpu.execute(1e-4, HIGH)
+    env.step()  # the kicked interrupt: the slice is credited
+    assert cpu.stats.preemptions == 1
+    assert cpu._armed is None
+    while env._queue[0] is not abandoned:
+        env.step()
+    state = _cpu_state(cpu)
+    rest = sorted(e for e in env._queue if e is not abandoned)
+    processed = env.events_processed
+    env.step()
+    assert env.events_processed == processed + 1
+    assert env.now == abandoned[0]
+    assert _cpu_state(cpu) == state
+    assert sorted(env._queue) == rest  # nothing pushed
+    env.run_all()
+    assert low.processed and low.cpu_time == pytest.approx(0.01)
+    assert cpu.stats.preemptions == 1
 
 
 # A random interleaving of every trigger above, each checked against the
@@ -330,16 +431,19 @@ _CPU_OPS = st.one_of(
 _OPS = _KERNEL_OPS | _CPU_OPS
 
 
-def _expected_delay(cpu, event):
-    if event is cpu._timer:
-        if event.callbacks is cpu._wakeup_cbs:
-            return 0.0
-        if event.callbacks is cpu._overhead_cbs:
-            return cpu._overhead
-        return cpu._slice_len
-    if type(event) is Timeout:
-        return event.delay
-    return 0.0
+def _expected(cpu, item):
+    """The priority and delay of the entry that carries ``item``."""
+    if type(item) is MethodType:
+        if item is cpu._wakeup:
+            return NORMAL, 0.0
+        if item is cpu._switch_end:
+            return NORMAL, cpu._overhead
+        if item is cpu._low_end or item is cpu._high_end:
+            return NORMAL, cpu._slice_len
+        return URGENT, 0.0  # a kick
+    if type(item) is Timeout:
+        return NORMAL, item.delay
+    return NORMAL, 0.0
 
 
 def _trigger(env, cpu, op):
@@ -351,7 +455,7 @@ def _trigger(env, cpu, op):
     elif kind == "timeout":
         env.timeout(op[1])
     elif kind == "kick":
-        env.kick(lambda e: None)
+        env.kick(_Sink().cont)
     elif kind == "handoff":
         event = env.event()
         if op[1]:
@@ -375,12 +479,11 @@ def test_property_interleaved_triggers_push_the_schedule_entries(ops):
         pushed = sorted((e for e in env._queue if e[1] not in keys),
                         key=lambda e: e[1] & _SEQ_MASK)
         for entry in pushed:
-            event = entry[2]
-            priority = URGENT if type(event) is Initialize else NORMAL
+            item = entry[2]
+            priority, delay = _expected(cpu, item)
             assert type(entry[0]) is float
-            assert entry == _reference_entry(
-                env, event, priority, _expected_delay(cpu, event),
-                next_seq)
+            assert entry == _reference_entry(env, item, priority, delay,
+                                             next_seq)
             next_seq += 1
 
     for op in ops:

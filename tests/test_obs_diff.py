@@ -146,15 +146,31 @@ def test_bootstrap_refuses_fewer_than_one_resample(resamples):
         bootstrap_paired_delta([0.5, 0.5], resamples=resamples)
 
 
+@pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.2, float("nan")])
+def test_bootstrap_refuses_a_confidence_outside_the_unit_interval(
+        confidence):
+    """At 1 or more the interval was silently the widest one, at 0 or
+    less a zero-width one at the point estimate, which never includes
+    zero, and NaN failed inside the percentile lookup."""
+    with pytest.raises(ValueError, match="confidence"):
+        bootstrap_paired_delta([0.5, 0.2, -0.1, 0.3], confidence=confidence)
+    with pytest.raises(ValueError, match="confidence"):
+        bootstrap_mean_delta([1.0, 2.0], [1.5, 2.5], confidence=confidence)
+
+
 @pytest.mark.parametrize("kwargs", [
     {"resamples": 0}, {"resamples": -3},
     {"min_effect": float("nan")}, {"min_effect": float("inf")},
     {"min_effect": -0.01},
+    {"confidence": 1.5}, {"confidence": 0.0}, {"confidence": -0.2},
+    {"confidence": float("nan")},
 ], ids=lambda kwargs: "{}={}".format(*next(iter(kwargs.items()))))
 def test_diff_runs_refuses_arguments_that_break_the_gate(kwargs):
     """The library path refuses what the CLI refuses at parsing: no
-    resamples leave no interval, and a NaN effect bound makes no cell
-    significant, silently disarming the gate."""
+    resamples leave no interval, a NaN effect bound makes no cell
+    significant, silently disarming the gate, and so does a confidence
+    of 0 or less (every interval shrinks to its point) or of 1 or
+    more."""
     base = attrib_doc(attrib_cell("4L", "static", BASE_RTS))
     cand = attrib_doc(attrib_cell("4L", "static",
                                   [v * 1.5 for v in BASE_RTS]))

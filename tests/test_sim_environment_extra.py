@@ -22,6 +22,15 @@ def test_initial_time_offsets_clock():
     assert env.now == 105.0
 
 
+@pytest.mark.parametrize("start", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_non_finite_initial_time_raises(start):
+    """A non-finite start clock used to be accepted: ``now`` stayed
+    non-finite and timeouts fired in push order, not delay order."""
+    with pytest.raises(ValueError, match="initial_time must be finite"):
+        Environment(initial_time=start)
+
+
 def test_peek_reports_next_event_time():
     env = Environment()
     assert env.peek() == float("inf")

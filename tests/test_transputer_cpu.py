@@ -350,9 +350,9 @@ def test_property_work_conserved(ops, overhead, quantum, requeue_at_back):
     a quantum, so many land inside a context switch), gang pauses and
     resumes, and interrupts of extended slices.  Every request completes
     exactly once with exactly its work as CPU time, and the CPU's
-    accounting balances.  A stale slice timer that ran its old
-    continuation would double-credit a slice or complete a request
-    twice."""
+    accounting balances.  An abandoned slice entry that ran its
+    continuation (its key no longer the armed one) would double-credit
+    a slice or complete a request twice."""
     env = Environment()
     cpu = make_cpu(env, context_switch_overhead=overhead, quantum=quantum,
                    requeue_at_back=requeue_at_back)
