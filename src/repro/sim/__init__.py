@@ -1,23 +1,21 @@
 """Discrete-event simulation kernel.
 
 A from-scratch, deterministic, generator-coroutine DES kernel in the style
-of SimPy, providing the substrate every other subsystem of this
-reproduction is built on.  The public surface:
+of SimPy, sized to what this reproduction's models use.  The public
+surface:
 
 - :class:`~repro.sim.environment.Environment` — the event loop and clock.
 - :class:`~repro.sim.events.Event`, :class:`~repro.sim.events.Timeout`,
-  :class:`~repro.sim.events.Process` — the event primitives.
-- :class:`~repro.sim.events.Interrupt` — asynchronous exception delivered
-  into a running process.
-- :class:`~repro.sim.events.AnyOf` / :class:`~repro.sim.events.AllOf` —
-  condition events.
-- :class:`~repro.sim.resources.Resource`,
-  :class:`~repro.sim.resources.PriorityResource`,
-  :class:`~repro.sim.resources.PreemptiveResource` — capacity-limited
-  resources with FIFO / priority / preemptive queueing.
-- :class:`~repro.sim.stores.Container`, :class:`~repro.sim.stores.Store`
-  and the keyed :class:`~repro.sim.stores.FilterStore` — bulk-quantity
-  and object queues.
+  :class:`~repro.sim.events.Process` — the event primitives: processes
+  run, wait and join.
+- :class:`~repro.sim.events.AllOf` — waits for every one of several
+  events, with a :class:`~repro.sim.events.ConditionValue` as its value.
+- :class:`~repro.sim.stores.FilterStore` — the keyed store behind a
+  node's mailbox.
+- :class:`~repro.sim.resources.Resource` — a FIFO resource with
+  ``capacity`` slots (the wormhole network's channels).
+- :class:`~repro.sim.monitoring.TimeWeightedValue` and
+  :class:`~repro.sim.monitoring.Sampler` — measurement probes.
 
 Determinism: events scheduled for the same time are processed in FIFO
 order of scheduling (a monotone sequence number breaks ties), so two runs
@@ -27,38 +25,28 @@ of the same model always produce identical traces.
 from repro import _lazy_exports
 
 # Names resolve on first use: a run loads the kernel modules it touches,
-# not the resources and monitors only some models use.
+# not the resource and probes only some models use.
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "environment": ("Environment",),
-    "events": ("NORMAL", "URGENT", "AllOf", "AnyOf", "ConditionValue",
-               "Event", "Interrupt", "Process", "Timeout"),
-    "exceptions": ("SimulationError", "StopProcess"),
-    "monitoring": ("Sampler", "Tally", "TimeWeightedValue"),
-    "resources": ("PreemptiveResource", "Preempted", "PriorityResource",
-                  "Resource"),
-    "stores": ("Container", "FilterStore", "Store"),
+    "events": ("NORMAL", "URGENT", "AllOf", "ConditionValue", "Event",
+               "Process", "Timeout"),
+    "exceptions": ("SimulationError",),
+    "monitoring": ("Sampler", "TimeWeightedValue"),
+    "resources": ("Resource",),
+    "stores": ("FilterStore",),
 })
 
 __all__ = [
     "AllOf",
-    "AnyOf",
     "ConditionValue",
-    "Container",
     "Environment",
     "Event",
     "FilterStore",
-    "Interrupt",
     "NORMAL",
-    "Preempted",
-    "PreemptiveResource",
-    "PriorityResource",
     "Process",
     "Resource",
     "Sampler",
     "SimulationError",
-    "StopProcess",
-    "Store",
-    "Tally",
     "TimeWeightedValue",
     "Timeout",
     "URGENT",

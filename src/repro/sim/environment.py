@@ -15,7 +15,6 @@ from repro.sim.events import (
     PRIORITY_SHIFT,
     URGENT,
     AllOf,
-    AnyOf,
     Event,
     Process,
     Timeout,
@@ -89,7 +88,6 @@ class Environment:
         self._now = initial_time
         self._queue = []  # heap of (time, (priority << 56) | seq, item)
         self._seq = count()
-        self._active_process = None
         #: Number of events processed so far (useful for budget guards
         #: and performance reporting).  Includes direct handoffs — a
         #: handed-off event's callbacks ran, so it was processed; see
@@ -124,11 +122,6 @@ class Environment:
         """The current simulated time."""
         return self._now
 
-    @property
-    def active_process(self):
-        """The process currently being advanced, if any."""
-        return self._active_process
-
     def peek(self):
         """Time of the next scheduled event, or ``inf`` if none."""
         return self._queue[0][0] if self._queue else float("inf")
@@ -148,7 +141,7 @@ class Environment:
         """
         free = self._free_timeouts
         if free:
-            if delay < 0 or delay != delay:
+            if not 0.0 <= delay < inf:
                 raise ValueError(f"invalid delay {delay}")
             event = free.pop()
             event.delay = delay
@@ -181,28 +174,24 @@ class Environment:
         return Process(self, generator, name=name)
 
     def all_of(self, events):
-        """Condition that succeeds once all ``events`` have succeeded."""
+        """An :class:`AllOf` that succeeds once all ``events`` have."""
         return AllOf(self, events)
-
-    def any_of(self, events):
-        """Condition that succeeds once any of ``events`` has succeeded."""
-        return AnyOf(self, events)
 
     # -- scheduling ----------------------------------------------------------
     def schedule(self, event, priority=NORMAL, delay=0.0):
         """Place a triggered ``event`` on the agenda after ``delay``.
 
-        The public arming call, for cold paths: process failure,
-        interrupts and tests.  The hot triggers (``succeed``/``fail``,
-        new and pooled ``Timeout``, :meth:`handoff`'s fallback) push the
-        entry this builds themselves, without the call, and
-        :meth:`kick` and the CPU's arms push the same time and key with
-        a continuation in the event's place.  A NaN delay would poison
-        the heap order and a negative one would move the clock
-        backwards, so both raise, as does a priority other than
-        ``URGENT``/``NORMAL``.
+        The public arming call, for cold paths: process failure and
+        tests.  The hot triggers (``succeed``/``fail``, new and pooled
+        ``Timeout``, :meth:`handoff`'s fallback) push the entry this
+        builds themselves, without the call, and :meth:`kick` and the
+        CPU's arms push the same time and key with a continuation in
+        the event's place.  A NaN delay would poison the heap order, a
+        negative one would move the clock backwards and an infinite one
+        would leave it at ``inf`` for good, so each raises, as does a
+        priority other than ``URGENT``/``NORMAL``.
         """
-        if not delay >= 0:  # NaN fails this comparison too
+        if not 0.0 <= delay < inf:  # NaN fails this comparison too
             raise ValueError(f"invalid delay {delay}")
         if priority not in (URGENT, NORMAL):
             raise ValueError(f"invalid priority {priority!r}")
@@ -342,7 +331,8 @@ class Environment:
         ----------
         until:
             ``None`` — run until the agenda is empty;
-            a number — run until the clock reaches that time;
+            a finite number, not before :attr:`now` — run until the
+            clock reaches that time;
             an :class:`Event` — run until that event is processed, then
             return its value (re-raising its exception if it failed).
 
@@ -358,9 +348,10 @@ class Environment:
         if until is not None:
             if not isinstance(until, Event):
                 at = float(until)
-                if not at >= self._now:  # NaN fails this comparison too
+                if not self._now <= at < inf:  # NaN fails this one too
                     raise ValueError(
-                        f"until ({at}) must not be before now ({self._now})"
+                        f"until ({at}) must be finite and must not be "
+                        f"before now ({self._now})"
                     )
                 until = Event(self)
                 until._ok = True

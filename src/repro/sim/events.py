@@ -8,17 +8,20 @@ callback runs exactly once and the callback list is retired.
 A :class:`Process` wraps a Python generator.  The generator *yields*
 events; the process resumes (the generator is advanced) when the yielded
 event is processed.  A process is itself an event that triggers when its
-generator returns, so processes can wait for each other.
+generator returns, so processes can wait for each other, and
+:class:`AllOf` joins several events into one.
 """
 
 from __future__ import annotations
 
 from heapq import heappush
+from math import inf
 
-from repro.sim.exceptions import SimulationError, StopProcess
+from repro.sim.exceptions import SimulationError
 
-#: Scheduling priority for events that must run before same-time normal
-#: events (used for interrupts and process initialisation).
+#: Scheduling priority for entries that must run before same-time
+#: normal ones: kicks (process start-up, the CPU's interrupts) and
+#: :meth:`~repro.sim.environment.Environment.run`'s numeric deadline.
 URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
@@ -144,13 +147,6 @@ class Event:
         else:
             self.fail(event._value)
 
-    # -- composition ---------------------------------------------------
-    def __and__(self, other):
-        return AllOf(self.env, [self, other])
-
-    def __or__(self, other):
-        return AnyOf(self.env, [self, other])
-
     def __repr__(self):
         return f"<{type(self).__name__} at {id(self):#x}>"
 
@@ -161,10 +157,11 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env, delay, value=None):
-        # ``delay != delay`` catches NaN, which would otherwise poison
-        # the agenda heap: NaN compares false against everything, so
-        # sift-up/sift-down stop comparing and ordering silently breaks.
-        if delay < 0 or delay != delay:
+        # NaN fails the comparison too: it would poison the agenda heap
+        # (it compares false against everything, so sifts stop ordering).
+        # An infinite delay would leave the clock at ``inf`` for good,
+        # after which entries pop in push order whatever their delays.
+        if not 0.0 <= delay < inf:
             raise ValueError(f"invalid delay {delay}")
         super().__init__(env)
         self.delay = delay
@@ -175,35 +172,6 @@ class Timeout(Event):
 
     def __repr__(self):
         return f"<Timeout({self.delay}) at {id(self):#x}>"
-
-
-class Interrupt(Exception):
-    """Asynchronous exception thrown into an interrupted process.
-
-    ``cause`` carries arbitrary context supplied by the interrupter (for
-    example a :class:`~repro.sim.resources.Preempted` record).
-    """
-
-    @property
-    def cause(self):
-        return self.args[0]
-
-    def __str__(self):
-        return f"Interrupt({self.cause!r})"
-
-
-class _InterruptEvent(Event):
-    """Internal urgent event that delivers an Interrupt to a process."""
-
-    __slots__ = ()
-
-    def __init__(self, env, process, cause):
-        super().__init__(env)
-        self._ok = False
-        self._value = Interrupt(cause)
-        self._defused = True
-        self.callbacks = [process._resume_interrupt]
-        env.schedule(self, priority=URGENT)
 
 
 class _Started:
@@ -225,7 +193,7 @@ class Process(Event):
     (failed, with the exception).
     """
 
-    __slots__ = ("_generator", "_send", "_target", "_resume_cb", "name")
+    __slots__ = ("_generator", "_send", "_resume_cb", "name")
 
     def __init__(self, env, generator, name=None):
         if not hasattr(generator, "throw"):
@@ -238,72 +206,26 @@ class Process(Event):
         # for — creating them fresh each time costs an allocation per
         # event in the kernel's hottest loop.
         self._send = generator.send
-        #: The event this process is currently waiting on (None while
-        #: running or before start).
-        self._target = None
         self._resume_cb = self._resume
         self.name = name or getattr(generator, "__name__", "process")
         env.kick(self._start)
-
-    @property
-    def target(self):
-        """The event this process is currently waiting for."""
-        return self._target
-
-    @property
-    def is_alive(self):
-        """True until the generator has returned or raised."""
-        return self._value is PENDING
-
-    def interrupt(self, cause=None):
-        """Throw :class:`Interrupt` into the process at the current time.
-
-        Interrupting a dead process or a process from within itself is an
-        error.  The interrupted process stops waiting for its current
-        target (the target's callback is removed) and resumes with the
-        Interrupt raised at its current ``yield``.
-        """
-        if not self.is_alive:
-            raise SimulationError(f"{self!r} has terminated; cannot interrupt")
-        if self is self.env.active_process:
-            raise SimulationError("a process cannot interrupt itself")
-        _InterruptEvent(self.env, self, cause)
 
     # -- internal ------------------------------------------------------
     def _start(self, _key):
         """The kicked continuation that first advances the generator."""
         self._resume(_STARTED)
 
-    def _resume_interrupt(self, event):
-        """Deliver an interrupt, detaching from the current target."""
-        if not self.is_alive:  # terminated between scheduling and delivery
-            return
-        if self._target is not None and self._target.callbacks is not None:
-            try:
-                self._target.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._resume(event)
-
     def _resume(self, event):
         """Advance the generator with the outcome of ``event``."""
-        if self._value is not PENDING:  # interrupted before its start ran
-            return
-        env = self.env
-        env._active_process = self
         send = self._send
         while True:
-            self._target = None
             try:
                 if event._ok:
                     next_event = send(event._value)
                 else:
                     event._defused = True
-                    next_event = self._generator.throw(
-                        type(event._value), event._value, None
-                    )
-            except (StopIteration, StopProcess) as exc:
-                env._active_process = None
+                    next_event = self._generator.throw(event._value)
+            except StopIteration as exc:
                 # A bound method of this process: dropped at the end so a
                 # finished process is freed by reference counting.
                 self._resume_cb = None
@@ -311,20 +233,18 @@ class Process(Event):
                 # the last thing this resumption does, so the process's
                 # completion may be handed off (dispatched synchronously)
                 # when the environment's ordering guards allow it.
-                env.handoff(self, exc.value)
+                self.env.handoff(self, exc.value)
                 return
             except BaseException as exc:
-                env._active_process = None
                 self._resume_cb = None
                 self._ok = False
                 self._value = exc
-                env.schedule(self)
+                self.env.schedule(self)
                 return
 
             try:
                 callbacks = next_event.callbacks
             except AttributeError:
-                env._active_process = None
                 err = SimulationError(
                     f"process {self.name!r} yielded a non-event: {next_event!r}"
                 )
@@ -332,25 +252,22 @@ class Process(Event):
                 self._resume_cb = None
                 self._ok = False
                 self._value = err
-                env.schedule(self)
+                self.env.schedule(self)
                 return
 
             if callbacks is not None:
                 # Event pending or triggered-but-unprocessed: park.
                 callbacks.append(self._resume_cb)
-                self._target = next_event
-                break
+                return
             # Already processed: consume its outcome immediately.
             event = next_event
-
-        env._active_process = None
 
     def __repr__(self):
         return f"<Process({self.name}) at {id(self):#x}>"
 
 
 class ConditionValue:
-    """Ordered mapping of the events a condition has collected so far."""
+    """Ordered mapping of the events an :class:`AllOf` has collected."""
 
     def __init__(self):
         self.events = []
@@ -381,33 +298,30 @@ class ConditionValue:
         return f"<ConditionValue {self.todict()!r}>"
 
 
-class Condition(Event):
-    """Event that triggers when ``evaluate(events, n_done)`` is true.
+class AllOf(Event):
+    """Event that succeeds once all of ``events`` have succeeded.
 
-    Failed sub-events fail the condition immediately (and are defused).
+    Its value is a :class:`ConditionValue` of the events.  A failed
+    sub-event fails it at once (and is defused).
     """
 
-    __slots__ = ("_events", "_count", "_evaluate")
+    __slots__ = ("_events", "_count")
 
-    def __init__(self, env, evaluate, events):
+    def __init__(self, env, events):
         super().__init__(env)
-        self._evaluate = evaluate
-        self._events = list(events)
+        self._events = events = list(events)
         self._count = 0
-        for event in self._events:
+        for event in events:
             if event.env is not env:
                 raise ValueError("events belong to different environments")
-        if self._evaluate(self._events, 0) and not self._events:
+        if not events:
             self.succeed(ConditionValue())
             return
-        for event in self._events:
+        for event in events:
             if event.callbacks is None:
                 self._check(event)
             else:
                 event.callbacks.append(self._check)
-        if self._value is PENDING and self._evaluate(self._events,
-                                                     self._count):
-            self.succeed(self._collect())
 
     def _collect(self):
         value = ConditionValue()
@@ -426,37 +340,11 @@ class Condition(Event):
             self.fail(event._value)
             return
         self._count += 1
-        if self._evaluate(self._events, self._count):
-            # Tail position: completing the condition is the last thing
-            # this check does, so the completion may be handed straight
-            # to the condition's waiters when ordering permits.  (The
-            # direct calls from ``__init__`` reach here before any
-            # waiter could have registered, so they always fall back to
-            # ordinary scheduling — handoff requires callbacks.)
+        if self._count == len(self._events):
+            # Tail position: completing the join is the last thing this
+            # check does, so the completion may be handed straight to
+            # the join's waiters when ordering permits.  (The direct
+            # calls from ``__init__`` reach here before any waiter could
+            # have registered, so they always fall back to ordinary
+            # scheduling — handoff requires callbacks.)
             self.env.handoff(self, self._collect())
-
-    @staticmethod
-    def all_events(events, count):
-        return len(events) == count
-
-    @staticmethod
-    def any_events(events, count):
-        return count > 0 or not events
-
-
-class AllOf(Condition):
-    """Condition that succeeds when all of ``events`` have succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events):
-        super().__init__(env, Condition.all_events, events)
-
-
-class AnyOf(Condition):
-    """Condition that succeeds when any of ``events`` has succeeded."""
-
-    __slots__ = ()
-
-    def __init__(self, env, events):
-        super().__init__(env, Condition.any_events, events)

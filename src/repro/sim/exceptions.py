@@ -7,17 +7,3 @@ class SimulationError(Exception):
 
 class EmptySchedule(SimulationError):
     """Raised by :meth:`Environment.step` when no events remain."""
-
-
-class StopProcess(Exception):
-    """Raised inside a process generator to terminate it with a value.
-
-    Returning from the generator (plain ``return value``) is the normal
-    way to finish; ``raise StopProcess(value)`` exists for code that needs
-    to terminate from a nested helper without threading a return value
-    through every frame.
-    """
-
-    def __init__(self, value=None):
-        super().__init__(value)
-        self.value = value

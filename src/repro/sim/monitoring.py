@@ -1,21 +1,22 @@
 """Measurement probes for simulation models.
 
-Three small instruments that the experiment harness and examples use to
-look *inside* a run instead of only at its end state:
+Two small instruments that the observability layer and the timeline
+helpers use to look *inside* a run instead of only at its end state:
 
 - :class:`TimeWeightedValue` — tracks a piecewise-constant quantity
   (queue length, memory in use) and integrates it over time, yielding
   exact time-averages.
-- :class:`Tally` — classic observation statistics (count/mean/min/max/
-  variance) computed online with Welford's algorithm.
 - :class:`Sampler` — a periodic probe process that records a callable's
   value on a fixed cadence, producing a (time, value) series suitable
   for the ASCII chart helpers.
+
+Observation statistics (count, mean, variance) come from
+:class:`repro.obs.streaming.OnlineStats`.
 """
 
 from __future__ import annotations
 
-import math
+from math import inf
 
 
 class TimeWeightedValue:
@@ -80,57 +81,6 @@ class TimeWeightedValue:
         return area / elapsed
 
 
-class Tally:
-    """Online mean/variance/extrema of a stream of observations."""
-
-    def __init__(self):
-        self.count = 0
-        self._mean = 0.0
-        self._m2 = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    def observe(self, x):
-        self.count += 1
-        delta = x - self._mean
-        self._mean += delta / self.count
-        self._m2 += delta * (x - self._mean)
-        self._min = min(self._min, x)
-        self._max = max(self._max, x)
-
-    @property
-    def mean(self):
-        return self._mean if self.count else 0.0
-
-    @property
-    def variance(self):
-        """Sample variance (n-1 denominator)."""
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def std(self):
-        return math.sqrt(self.variance)
-
-    @property
-    def cv(self):
-        """Coefficient of variation (std/mean)."""
-        return self.std / self.mean if self.mean else 0.0
-
-    @property
-    def min(self):
-        return self._min if self.count else 0.0
-
-    @property
-    def max(self):
-        return self._max if self.count else 0.0
-
-    def __repr__(self):
-        return (f"<Tally n={self.count} mean={self.mean:.4g} "
-                f"std={self.std:.4g}>")
-
-
 class Sampler:
     """Periodic probe: records ``fn()`` every ``interval`` sim-seconds.
 
@@ -139,8 +89,11 @@ class Sampler:
     """
 
     def __init__(self, env, fn, interval, name="sampler"):
-        if interval <= 0:
-            raise ValueError("interval must be positive")
+        # NaN fails the comparison too; an infinite interval would keep
+        # sampling at ``now = inf`` until memory ran out.
+        if not 0 < interval < inf:
+            raise ValueError(
+                f"interval must be positive and finite, got {interval!r}")
         self.env = env
         self.fn = fn
         self.interval = interval

@@ -1,24 +1,12 @@
-"""Bulk-quantity containers and object stores for the DES kernel.
+"""The keyed object store behind a node's mailbox.
 
-- :class:`Container` models a divisible quantity (bytes of memory, buffer
-  credits): ``put(amount)`` / ``get(amount)`` block until the operation
-  can complete without over- or under-flowing.
-- :class:`Store` is a FIFO queue of arbitrary Python objects with a
-  capacity bound.
-- :class:`FilterStore` is the unbounded keyed store behind a node's
-  mailbox: it files each item under a key extracted from it, and
-  ``get(k)`` waits for the oldest item filed under ``k``, served from
-  per-key deques in O(1).
-
-Cancellation follows the same lazy-tombstone discipline as
-:meth:`repro.sim.resources.Resource` requests: a cancelled waiter of a
-:class:`Store` or :class:`Container` is marked ``_dequeued`` and skipped
-(and eventually dropped) by the service loops instead of being removed
-with an O(n) deque scan; a :class:`FilterStore` waiter leaves its short
-per-key deque at once.  Cancelling an event that was never queued on
-the store raises :class:`~repro.sim.exceptions.SimulationError`;
-cancelling one that was already served (or already cancelled) is a
-no-op.
+:class:`FilterStore` is an unbounded store that files each item under a
+key extracted from it; ``get(k)`` waits for the oldest item filed under
+``k``, served from per-key deques in O(1).  A cancelled waiter leaves
+its short per-key deque at once.  Cancelling an event that was never
+queued on the store raises
+:class:`~repro.sim.exceptions.SimulationError`; cancelling one that was
+already served (or already cancelled) is a no-op.
 """
 
 from __future__ import annotations
@@ -49,136 +37,6 @@ def _wait_recorder(env):
     return observe
 
 
-def _check_cancel(store, event):
-    """Whether ``event`` is a pending put/get of ``store`` to withdraw.
-
-    Raises :class:`SimulationError` for an event never queued on
-    ``store``; an already served or cancelled one is not withdrawn.
-    """
-    if getattr(event, "_station", None) is not store:
-        raise SimulationError(
-            f"{event!r} was never queued on {store!r}; cannot cancel"
-        )
-    return not event._dequeued and event._value is PENDING
-
-
-class ContainerPut(Event):
-    __slots__ = ("amount", "requested_at", "_station", "_dequeued")
-
-    def __init__(self, container, amount):
-        if amount <= 0:
-            raise ValueError(f"put amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        self.requested_at = container.env._now
-        self._station = container
-        self._dequeued = False
-        container._put_waiters.append(self)
-        container._trigger()
-
-
-class ContainerGet(Event):
-    __slots__ = ("amount", "requested_at", "_station", "_dequeued")
-
-    def __init__(self, container, amount):
-        if amount <= 0:
-            raise ValueError(f"get amount must be positive, got {amount}")
-        super().__init__(container.env)
-        self.amount = amount
-        self.requested_at = container.env._now
-        self._station = container
-        self._dequeued = False
-        container._get_waiters.append(self)
-        container._trigger()
-
-
-class Container:
-    """A divisible resource pool with blocking put/get.
-
-    Waiters are served strictly FIFO *within each direction*; a blocked
-    get at the head of the queue blocks later, smaller gets (no
-    starvation of large requests).
-
-    Parameters
-    ----------
-    env: Environment
-    capacity: maximum level (default unbounded).
-    init: initial level.
-    """
-
-    def __init__(self, env, capacity=float("inf"), init=0.0):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        if not 0 <= init <= capacity:
-            raise ValueError("init must lie in [0, capacity]")
-        self.env = env
-        self._observe_wait = _wait_recorder(env)
-        self._capacity = capacity
-        self._level = init
-        self._put_waiters = deque()
-        self._get_waiters = deque()
-
-    @property
-    def capacity(self):
-        return self._capacity
-
-    @property
-    def level(self):
-        """Quantity currently available."""
-        return self._level
-
-    def put(self, amount):
-        """Add ``amount``; the event succeeds once it fits under capacity."""
-        return ContainerPut(self, amount)
-
-    def get(self, amount):
-        """Remove ``amount``; the event succeeds once the level suffices."""
-        return ContainerGet(self, amount)
-
-    def cancel(self, event):
-        """Withdraw a still-pending put/get event.
-
-        No-op if the event was already served or already cancelled;
-        raises :class:`SimulationError` for an event that was never
-        queued on this container.
-        """
-        if _check_cancel(self, event):
-            event._dequeued = True
-            self._trigger()
-
-    def _trigger(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            gets = self._get_waiters
-            while gets and gets[0]._dequeued:
-                gets.popleft()
-            if gets:
-                head = gets[0]
-                if head.amount <= self._level:
-                    gets.popleft()
-                    self._level -= head.amount
-                    if self._observe_wait is not None:
-                        self._observe_wait("store.container_wait", head)
-                    head.succeed(head.amount)
-                    progressed = True
-            puts = self._put_waiters
-            while puts and puts[0]._dequeued:
-                puts.popleft()
-            if puts:
-                head = puts[0]
-                if self._level + head.amount <= self._capacity:
-                    puts.popleft()
-                    self._level += head.amount
-                    if self._observe_wait is not None:
-                        self._observe_wait("store.container_wait", head)
-                    head.succeed(head.amount)
-                    progressed = True
-
-    def __repr__(self):
-        return f"<Container level={self._level}/{self._capacity}>"
-
-
 class StorePut(Event):
     __slots__ = ("item", "requested_at", "_station", "_dequeued")
 
@@ -194,100 +52,13 @@ class StorePut(Event):
 class StoreGet(Event):
     __slots__ = ("key", "requested_at", "_station", "_dequeued")
 
-    def __init__(self, store, key=None):
+    def __init__(self, store, key):
         super().__init__(store.env)
         self.key = key
         self.requested_at = store.env._now
         self._station = store
         self._dequeued = False
         store._enqueue_get(self)
-
-
-class Store:
-    """FIFO object queue with optional capacity bound."""
-
-    def __init__(self, env, capacity=float("inf")):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.env = env
-        self._observe_wait = _wait_recorder(env)
-        self._capacity = capacity
-        self.items = deque()
-        self._put_waiters = deque()
-        self._get_waiters = deque()
-
-    @property
-    def capacity(self):
-        return self._capacity
-
-    def __len__(self):
-        return len(self.items)
-
-    def pending_items(self):
-        """Stored items, oldest first."""
-        return list(self.items)
-
-    def put(self, item):
-        """Append ``item``; blocks while the store is full."""
-        return StorePut(self, item)
-
-    def get(self):
-        """Remove and return the oldest item; blocks while empty."""
-        return StoreGet(self)
-
-    def cancel(self, event):
-        """Withdraw a still-pending put/get event.
-
-        No-op if the event was already served or already cancelled;
-        raises :class:`SimulationError` for an event that was never
-        queued on this store.
-        """
-        if _check_cancel(self, event):
-            event._dequeued = True
-            self._trigger()
-
-    def _enqueue_put(self, put):
-        self._put_waiters.append(put)
-        self._trigger()
-
-    def _enqueue_get(self, get):
-        self._get_waiters.append(get)
-        self._trigger()
-
-    def _trigger(self):
-        progressed = True
-        while progressed:
-            progressed = False
-            # Admit puts while there is room.
-            puts = self._put_waiters
-            while puts:
-                put = puts[0]
-                if put._dequeued:
-                    puts.popleft()
-                    continue
-                if len(self.items) >= self._capacity:
-                    break
-                puts.popleft()
-                self.items.append(put.item)
-                if self._observe_wait is not None:
-                    self._observe_wait("store.put_wait", put)
-                put.succeed()
-                progressed = True
-            # Serve gets while items are available.
-            waiters = self._get_waiters
-            items = self.items
-            while waiters:
-                get = waiters[0]
-                if get._dequeued:
-                    waiters.popleft()
-                    continue
-                if not items:
-                    break
-                waiters.popleft()
-                if self._observe_wait is not None:
-                    self._observe_wait("store.get_wait", get)
-                get.succeed(items.popleft())
-                progressed = True
 
 
 class FilterStore:
@@ -328,8 +99,17 @@ class FilterStore:
         return StoreGet(self, key)
 
     def cancel(self, event):
-        """Withdraw a still-waiting get (see :meth:`Store.cancel`)."""
-        if _check_cancel(self, event):
+        """Withdraw a still-waiting get.
+
+        No-op if the get was already served or already cancelled;
+        raises :class:`SimulationError` for an event that was never
+        queued on this store.
+        """
+        if getattr(event, "_station", None) is not self:
+            raise SimulationError(
+                f"{event!r} was never queued on {self!r}; cannot cancel"
+            )
+        if not event._dequeued and event._value is PENDING:
             event._dequeued = True
             k = event.key
             waiters = self._waiters[k]

@@ -1,13 +1,13 @@
 """Regression coverage for the kernel fast path.
 
 The hot-path speed pass (packed agenda keys, pooled Timeout events,
-lazy resource tombstones, callback-based packet walkers, agenda entries
-pushed without a call to ``Environment.schedule``, and continuation
-entries: kicks and the CPU's arms push a bound method in an event's
-place) must be *observably free*: every test here pins behaviour that
-the optimisations could plausibly have changed — agenda ordering and
-entry contents, event-object lifecycle, abandoned CPU slices, eviction
-choices.  Whole-model runs are pinned by the golden digests
+callback-based packet walkers, agenda entries pushed without a call to
+``Environment.schedule``, and continuation entries: kicks and the CPU's
+arms push a bound method in an event's place) must be *observably
+free*: every test here pins behaviour that the optimisations could
+plausibly have changed — agenda ordering and entry contents,
+event-object lifecycle, abandoned CPU slices.  Whole-model runs are
+pinned by the golden digests
 (``tests/test_results_golden.py`` and the CPU, obs and transport
 goldens).
 """
@@ -20,14 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import (
-    Environment,
-    Event,
-    Interrupt,
-    PreemptiveResource,
-    SimulationError,
-    Timeout,
-)
+from repro.sim import Environment, Event, SimulationError, Timeout
 from repro.sim.environment import _SEQ_MASK
 from repro.sim.events import NORMAL, URGENT
 from repro.transputer import TransputerConfig
@@ -119,7 +112,32 @@ def test_pooled_timeout_still_validates_delay():
         env.timeout(float("nan"))
 
 
+def test_pooled_timeout_rejects_infinite_delay():
+    """An infinite delay from the free list used to be accepted: once it
+    popped, the clock stayed at ``inf`` and later timeouts of 1.0 and
+    0.5 fired in push order."""
+    env = Environment()
+    env.timeout(1.0)
+    env.run_all()
+    assert env._free_timeouts  # the pooled path is the one under test
+    with pytest.raises(ValueError, match="invalid delay inf"):
+        env.timeout(float("inf"))
+    assert env._queue == [] and env._free_timeouts
+
+
 # -- satellite bugfixes ---------------------------------------------------
+def test_fresh_timeout_rejects_infinite_delay():
+    """A fresh Timeout with an infinite delay used to be accepted, with
+    the same result as a pooled one."""
+    env = Environment()
+    with pytest.raises(ValueError, match="invalid delay inf"):
+        Timeout(env, float("inf"))
+    assert not env._free_timeouts  # ``timeout`` allocates a fresh one
+    with pytest.raises(ValueError, match="invalid delay inf"):
+        env.timeout(float("inf"))
+    assert env._queue == []
+
+
 def test_timeout_rejects_nan_delay():
     """NaN used to sail through the `delay < 0` check and poison the
     agenda heap (every comparison with NaN is False, so heap order
@@ -139,63 +157,18 @@ def test_trigger_from_untriggered_source_raises():
     assert not dst.triggered  # target untouched by the failed call
 
 
-def test_preemption_victim_is_latest_arrival_on_grant_time_tie():
-    """Two same-priority users granted at the same instant: the victim
-    must be the *later arrival*.  The old code selected the victim by
-    grant time (usage_since) but took the eviction decision by arrival
-    time — two different clocks — so on a grant-time tie `max` returned
-    the earliest arrival instead."""
-    env = Environment()
-    res = PreemptiveResource(env, capacity=2)
-    log = []
-
-    def blocker(env):
-        # Holds both slots until t=5, so A and B queue up and are then
-        # granted at the same instant (equal usage_since).
-        reqs = [res.request(priority=0, preempt=False) for _ in range(2)]
-        for r in reqs:
-            yield r
-        yield env.timeout(5)
-        for r in reqs:
-            res.release(r)
-
-    def user(env, name, delay):
-        yield env.timeout(delay)
-        with res.request(priority=5, preempt=False) as req:
-            try:
-                yield req
-                log.append((name, "got", env.now))
-                yield env.timeout(100)
-            except Interrupt:
-                log.append((name, "evicted", env.now))
-
-    def preemptor(env):
-        yield env.timeout(7)
-        with res.request(priority=0) as req:
-            yield req
-            log.append(("urgent", "got", env.now))
-
-    env.process(blocker(env))
-    env.process(user(env, "early", 0.0))   # arrives t=0
-    env.process(user(env, "late", 3.0))    # arrives t=3
-    env.process(preemptor(env))
-    env.run_all(max_events=10_000)
-    assert ("early", "got", 5) in log and ("late", "got", 5) in log
-    assert ("late", "evicted", 7) in log     # later arrival loses
-    assert ("urgent", "got", 7) in log
-    assert not any(e == ("early", "evicted", 7) for e in log)
-
-
 @pytest.mark.parametrize("kwargs, match", [
     ({"delay": float("nan")}, "invalid delay nan"),
     ({"delay": -1e-9}, "invalid delay -1e-09"),
     ({"priority": 2}, "invalid priority 2"),
     ({"priority": -1}, "invalid priority -1"),
+    ({"delay": float("inf")}, "invalid delay inf"),
 ])
 def test_schedule_rejects_bad_delay_and_priority(kwargs, match):
     """A NaN delay used to poison the heap order, a negative one moved
-    the clock backwards, and any priority packed silently into the
-    key; now each raises before anything is pushed."""
+    the clock backwards, an infinite one left it at ``inf`` for good,
+    and any priority packed silently into the key; now each raises
+    before anything is pushed."""
     env = Environment()
     event = env.event()
     event._ok, event._value = True, None
@@ -517,22 +490,3 @@ def test_request_events_start_in_the_state_event_init_gives():
         for slot in Event.__slots__:
             assert getattr(request, slot) == getattr(fresh, slot), slot
         assert request.callbacks is not fresh.callbacks
-
-
-# -- resource tombstones --------------------------------------------------
-def test_mass_cancellation_compacts_the_queue():
-    from repro.sim import Resource
-
-    env = Environment()
-    res = Resource(env, capacity=1)
-    hold = res.request()  # takes the slot
-    waiters = [res.request() for _ in range(64)]
-    for r in waiters[:48]:
-        r.cancel()
-    # Tombstones were compacted away once they became the majority.
-    assert res._dead < 48
-    assert len(res.queue) <= 64
-    res.release(hold)
-    env.run_all()
-    granted = [r for r in waiters if r.triggered]
-    assert len(granted) == 1 and granted[0] is waiters[48]

@@ -2,16 +2,7 @@
 
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    PreemptiveResource,
-    Resource,
-    SimulationError,
-)
+from repro.sim import AllOf, Environment, Event, SimulationError
 
 
 def test_initial_time_offsets_clock():
@@ -112,7 +103,6 @@ def test_empty_conditions_trigger_immediately():
 
     def proc(env):
         yield AllOf(env, [])
-        yield AnyOf(env, [])
         return env.now
 
     assert env.run(until=env.process(proc(env))) == 0
@@ -122,68 +112,6 @@ def test_condition_rejects_cross_environment_events():
     env1, env2 = Environment(), Environment()
     with pytest.raises(ValueError, match="different environments"):
         AllOf(env1, [Event(env1), Event(env2)])
-
-
-def test_interrupting_process_waiting_on_resource_releases_queue_slot():
-    env = Environment()
-    res = Resource(env, capacity=1)
-    log = []
-
-    def holder(env):
-        with res.request() as req:
-            yield req
-            yield env.timeout(10)
-
-    def impatient(env):
-        req = res.request()
-        try:
-            yield req
-        except Interrupt:
-            req.cancel()
-            log.append("gave-up")
-
-    def third(env):
-        yield env.timeout(2)
-        with res.request() as req:
-            yield req
-            log.append(("third-got", env.now))
-
-    env.process(holder(env))
-    victim = env.process(impatient(env))
-
-    def poker(env):
-        yield env.timeout(1)
-        victim.interrupt()
-
-    env.process(poker(env))
-    env.process(third(env))
-    env.run()
-    assert "gave-up" in log
-    assert ("third-got", 10) in log
-
-
-def test_preemptive_resource_capacity_two_evicts_least_urgent():
-    env = Environment()
-    res = PreemptiveResource(env, capacity=2)
-    log = []
-
-    def user(env, name, prio, hold, delay=0.0):
-        yield env.timeout(delay)
-        with res.request(priority=prio) as req:
-            try:
-                yield req
-                log.append((name, "got", env.now))
-                yield env.timeout(hold)
-            except Interrupt:
-                log.append((name, "evicted", env.now))
-
-    env.process(user(env, "low-a", 9, 10))
-    env.process(user(env, "low-b", 5, 10))
-    env.process(user(env, "high", 0, 1, delay=2.0))
-    env.run()
-    assert ("low-a", "evicted", 2.0) in log   # least urgent of the two
-    assert ("high", "got", 2.0) in log
-    assert not any(n == "low-b" and what == "evicted" for n, what, _ in log)
 
 
 def test_timeout_zero_fires_same_timestep_in_order():
@@ -267,6 +195,18 @@ def test_numeric_until_preserves_fifo_for_same_time_urgent_events():
     env.run(until=5.0)
     assert fired == ["urgent"]
     assert env.now == 5.0
+
+
+def test_numeric_until_rejects_infinity():
+    """``run(until=inf)`` used to pop its deadline after the model's
+    events and leave the clock at ``inf`` for good: later timeouts of
+    1.0 and 0.5 then fired in push order, not delay order."""
+    env = Environment()
+    env.timeout(1)
+    with pytest.raises(ValueError, match="must be finite"):
+        env.run(until=float("inf"))
+    assert env.now == 0.0
+    assert len(env._queue) == 1  # no deadline pushed
 
 
 def test_numeric_until_rejects_nan():

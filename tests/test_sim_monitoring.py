@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Environment, Sampler, Tally, TimeWeightedValue
+from repro.sim import Environment, Sampler, TimeWeightedValue
 
 
 # ------------------------------------------------------ TimeWeightedValue
@@ -67,40 +67,6 @@ def test_property_time_average_matches_manual_integral(segments):
                                                  abs=1e-9)
 
 
-# ------------------------------------------------------------------- Tally
-def test_tally_statistics():
-    t = Tally()
-    for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0]:
-        t.observe(x)
-    assert t.count == 8
-    assert t.mean == pytest.approx(5.0)
-    assert t.std == pytest.approx(2.138, rel=0.01)
-    assert t.min == 2.0 and t.max == 9.0
-    assert t.cv == pytest.approx(t.std / t.mean)
-
-
-def test_tally_empty_and_single():
-    t = Tally()
-    assert t.mean == 0.0 and t.variance == 0.0 and t.cv == 0.0
-    t.observe(3.0)
-    assert t.mean == 3.0
-    assert t.variance == 0.0
-
-
-@given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2,
-                max_size=100))
-@settings(max_examples=50, deadline=None)
-def test_property_tally_matches_numpy(xs):
-    import numpy as np
-
-    t = Tally()
-    for x in xs:
-        t.observe(x)
-    assert t.mean == pytest.approx(float(np.mean(xs)), rel=1e-6, abs=1e-6)
-    assert t.variance == pytest.approx(float(np.var(xs, ddof=1)),
-                                       rel=1e-6, abs=1e-3)
-
-
 # ----------------------------------------------------------------- Sampler
 def test_sampler_records_on_cadence():
     env = Environment()
@@ -136,3 +102,15 @@ def test_sampler_bad_interval():
     env = Environment()
     with pytest.raises(ValueError):
         Sampler(env, lambda: 1, interval=0)
+
+
+@pytest.mark.parametrize("interval", [float("nan"), float("inf")])
+def test_sampler_rejects_non_finite_interval(interval):
+    """A NaN interval used to be accepted and fail only when run, inside
+    the sampler's process; an infinite one sampled at ``now = inf``
+    until memory ran out.  Both now fail at construction, before any
+    process starts."""
+    env = Environment()
+    with pytest.raises(ValueError, match="positive and finite"):
+        Sampler(env, lambda: 1, interval=interval)
+    assert env._queue == []

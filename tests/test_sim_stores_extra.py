@@ -1,87 +1,11 @@
-"""Additional coverage for stores/containers: cancellation, bounds."""
+"""Cancellation and validation of the keyed store and the resource."""
 
 from collections import deque
 
 import pytest
 
-from repro.sim import Container, Environment, FilterStore, Store
-
-
-def test_store_cancel_pending_get():
-    env = Environment()
-    s = Store(env)
-    log = []
-
-    def impatient(env):
-        get = s.get()
-        result = yield get | env.timeout(1)
-        if get not in result:
-            s.cancel(get)
-            log.append("gave-up")
-
-    def late_producer(env):
-        yield env.timeout(2)
-        yield s.put("item")
-
-    env.process(impatient(env))
-    env.process(late_producer(env))
-    env.run()
-    assert log == ["gave-up"]
-    assert list(s.items) == ["item"]  # nobody consumed it
-
-
-def test_store_cancel_pending_put():
-    env = Environment()
-    s = Store(env, capacity=1)
-    log = []
-
-    def producer(env):
-        yield s.put("a")
-        put = s.put("b")
-        result = yield put | env.timeout(1)
-        if put not in result:
-            s.cancel(put)
-            log.append("withdrew")
-
-    env.process(producer(env))
-    env.run()
-    assert log == ["withdrew"]
-    assert list(s.items) == ["a"]
-
-
-def test_container_cancel_pending_get():
-    env = Environment()
-    c = Container(env, capacity=10, init=0)
-
-    def impatient(env):
-        get = c.get(5)
-        result = yield get | env.timeout(1)
-        if get not in result:
-            c.cancel(get)
-
-    def feeder(env):
-        yield env.timeout(2)
-        yield c.put(5)
-
-    env.process(impatient(env))
-    env.process(feeder(env))
-    env.run()
-    assert c.level == 5  # the cancelled get never took it
-
-
-def test_container_cancel_pending_put():
-    env = Environment()
-    c = Container(env, capacity=5, init=5)
-
-    def producer(env):
-        put = c.put(3)
-        result = yield put | env.timeout(1)
-        if put not in result:
-            c.cancel(put)
-
-    env.process(producer(env))
-    env.run()
-    assert c.level == 5
+from repro.sim import Environment, FilterStore, Resource
+from repro.sim.exceptions import SimulationError
 
 
 def test_filter_store_cancel_releases_waiter():
@@ -93,10 +17,10 @@ def test_filter_store_cancel_releases_waiter():
 
     def impatient(env):
         get = s.get("unicorn")
-        result = yield get | env.timeout(1)
-        if get not in result:
-            s.cancel(get)
-            s.cancel(get)  # a second cancel is a no-op
+        yield env.timeout(1)
+        assert not get.triggered
+        s.cancel(get)
+        s.cancel(get)  # a second cancel is a no-op
 
     def patient(env):
         yield env.timeout(0.5)
@@ -116,31 +40,35 @@ def test_filter_store_cancel_releases_waiter():
 
 
 def test_cancel_foreign_event_raises():
-    """Strict cancel: only events this store/container queued may be
-    cancelled — anything else is a protocol bug, not a silent no-op."""
-    from repro.sim.exceptions import SimulationError
-
+    """Strict cancel: only gets this store queued may be cancelled —
+    anything else is a protocol bug, not a silent no-op."""
     env = Environment()
-    a, b = Store(env), Store(env)
-    c = Container(env, capacity=5)
-    get = a.get()
+    a = FilterStore(env, lambda item: item)
+    b = FilterStore(env, lambda item: item)
+    get = a.get("k")
     with pytest.raises(SimulationError):
         b.cancel(get)            # queued on a different store
     with pytest.raises(SimulationError):
         a.cancel(env.event())    # never queued anywhere
-    with pytest.raises(SimulationError):
-        c.cancel(env.event())
+    assert a._waiters == {"k": deque([get])}
+    a.cancel(get)
+    assert a._waiters == {}
 
 
 def test_cancel_after_trigger_is_noop():
     env = Environment()
-    s = Store(env)
+    s = FilterStore(env, lambda item: item)
     s.put("x")
-    get = s.get()
+    get = s.get("x")
     env.run()
     assert get.value == "x"
     s.cancel(get)  # already served: nothing to withdraw
-    assert len(s) == 0
+    assert len(s) == 0 and s._waiters == {}
+    res = Resource(env, capacity=1)
+    first, second = res.request(), res.request()
+    first.cancel()  # returns the slot: the queued request takes it
+    first.cancel()  # already returned: nothing to withdraw
+    assert res.users == [second] and not res.queue
 
 
 def test_keyed_filter_store_cancel_releases_waiter():
@@ -149,9 +77,9 @@ def test_keyed_filter_store_cancel_releases_waiter():
 
     def never(env):
         get = s.get("unicorn")
-        result = yield get | env.timeout(1)
-        if get not in result:
-            s.cancel(get)
+        yield env.timeout(1)
+        assert not get.triggered
+        s.cancel(get)
 
     def normal(env):
         yield env.timeout(2)
@@ -213,48 +141,11 @@ def test_keyed_filter_store_drops_key_after_shedding_cancelled_waiter():
 
 
 def test_store_capacity_validation():
+    """The resource refuses a capacity below one slot; the keyed store
+    has no capacity, but refuses a key it cannot call."""
     env = Environment()
-    with pytest.raises(ValueError):
-        Store(env, capacity=0)
-    with pytest.raises(ValueError):
-        Container(env, capacity=0)
-
-
-def test_store_len_tracks_items():
-    env = Environment()
-    s = Store(env)
-
-    def proc(env):
-        yield s.put(1)
-        yield s.put(2)
-        assert len(s) == 2
-        yield s.get()
-        assert len(s) == 1
-
-    env.process(proc(env))
-    env.run()
-
-
-def test_interleaved_puts_gets_stress():
-    env = Environment()
-    s = Store(env, capacity=3)
-    consumed = []
-
-    def producer(env, start):
-        for i in range(start, start + 20):
-            yield s.put(i)
-            yield env.timeout(0.01)
-
-    def consumer(env):
-        for _ in range(40):
-            item = yield s.get()
-            consumed.append(item)
-            yield env.timeout(0.015)
-
-    env.process(producer(env, 0))
-    env.process(producer(env, 100))
-    env.process(consumer(env))
-    env.run()
-    assert len(consumed) == 40
-    assert sorted(consumed) == sorted(list(range(20)) +
-                                      list(range(100, 120)))
+    for capacity in (0, -1):
+        with pytest.raises(ValueError, match="capacity must be positive"):
+            Resource(env, capacity=capacity)
+    with pytest.raises(TypeError, match="key must be callable"):
+        FilterStore(env, key="tag")

@@ -1,18 +1,21 @@
-"""Golden trajectories of the store-and-forward transport.
+"""Golden trajectories of the store-and-forward and wormhole transports.
 
-Each case drives a partition :class:`~repro.comm.Network` directly and
-serialises what the packet-hop path decides: every message's send and
-delivery times and hop count, every directed link's accounting and
-ready time, every node's transit-buffer, mailbox-memory and CPU
-accounting and its share of forwarded packets and bytes, and the event
-counts.  Each case runs twice, with telemetry off and on; the two runs
-must agree on all of that, and the telemetry run adds the count and
-total duration of each trace category and the time average of every
-link gauge.  The SHA-256 digest of each document is pinned below, so a
-change to any hop's timing, buffer grant, forwarding burst or recorded
-span fails here.  A speed change to the transport must leave every
-digest alone; only a change meant to alter simulated results may
-re-pin them, by pasting the output of
+Each case drives a partition :class:`~repro.comm.Network` directly, or
+for the ``wormhole-*`` cases a :class:`~repro.comm.WormholeNetwork`,
+whose single-occupancy channels are the models' one use of
+:class:`~repro.sim.resources.Resource`.  It serialises what the
+transport decides: every message's send and delivery times and hop
+count, every directed link's accounting and ready time, every node's
+transit-buffer, mailbox-memory and CPU accounting and its share of
+forwarded packets and bytes, and the event counts.  Each case runs
+twice, with telemetry off and on; the two runs must agree on all of
+that, and the telemetry run adds the count and total duration of each
+trace category and the time average of every link gauge.  The SHA-256
+digest of each document is pinned below, so a change to any hop's
+timing, buffer grant, channel grant, forwarding burst or recorded span
+fails here.  A speed change to the transport must leave every digest
+alone; only a change meant to alter simulated results may re-pin them,
+by pasting the output of
 ``PYTHONPATH=src python tests/test_transport_golden.py`` into
 ``GOLDEN``.
 """
@@ -24,7 +27,7 @@ import math
 
 import pytest
 
-from repro.comm import Network
+from repro.comm import Network, WormholeNetwork
 from repro.sim import Environment
 from repro.topology import make_topology
 from repro.transputer import TransputerConfig, TransputerNode
@@ -39,11 +42,15 @@ GOLDEN = {
         "d89be83f2002db666c420e77e8af6d8186a32f029931fe9161af14c6db4cdc86",
     "self-messages":
         "a5a3e36dd5f35ec80c38350a2c207bbbfe767343da27b5555034cdfd16aca016",
+    "wormhole-linear":
+        "5246311529703aedcfcdb1f1831b87a6f295f417d8795bc6d54ba6989bc25268",
+    "wormhole-mesh":
+        "e4d937fa489ec2ccef65de3d7155ba9265df0d65a81090a69771a4ab4a130c5c",
 }
 
 
 def _run(n, topology, traffic, cfg, routing="auto", mailbox_bytes=None,
-         low_work=0.0, telemetry=False):
+         low_work=0.0, telemetry=False, network=Network):
     """Send ``traffic`` (``(src, dst, nbytes)`` in send order) at t = 0.
 
     Every node receives its messages under one tag and, when
@@ -58,7 +65,7 @@ def _run(n, topology, traffic, cfg, routing="auto", mailbox_bytes=None,
         tel = attach(env)
     extra = {} if mailbox_bytes is None else {"mailbox_bytes": mailbox_bytes}
     nodes = {i: TransputerNode(env, i, cfg, **extra) for i in range(n)}
-    net = Network(env, nodes, make_topology(topology, range(n)), cfg,
+    net = network(env, nodes, make_topology(topology, range(n)), cfg,
                   routing=routing)
     inbound = {i: 0 for i in range(n)}
     for _, dst, _ in traffic:
@@ -155,11 +162,25 @@ def _self_messages():
         "low_work": 0.05, "mailbox_bytes": 16 * 1024}
 
 
+def _all_to_all_wormhole(n, topology):
+    # All-to-all 6 KB messages, two worms each: worms queue for the
+    # single-occupancy channels of busy links while holding the links
+    # behind them, so the FIFO order of every channel's waiters decides
+    # the delivery times.  (Not a ring: all-to-all wormhole traffic on a
+    # ring can deadlock in this model.)
+    traffic = [(i, j, 6 * 1024) for i in range(n) for j in range(n)
+               if i != j]
+    return (n, topology, traffic, TransputerConfig()), {
+        "network": WormholeNetwork}
+
+
 CASES = {
     "mesh-preempt": _mesh_preempt,
     "linear-backlog": _linear_backlog,
     "ring-valiant": _ring_valiant,
     "self-messages": _self_messages,
+    "wormhole-linear": lambda: _all_to_all_wormhole(8, "linear"),
+    "wormhole-mesh": lambda: _all_to_all_wormhole(16, "mesh"),
 }
 
 
