@@ -252,6 +252,43 @@ def test_cpu_round_robin(benchmark):
           f"{sum(c.stats.preemptions for c in cpus)} preemptions")
 
 
+def test_cpu_lockstep(benchmark):
+    """Round robin on 16 CPUs in lockstep: the `1L` cells' agenda.
+
+    Every CPU holds the same 16 low-priority bursts from time zero, so
+    each switch end and each slice end ties in time with the other 15
+    CPUs' and the agenda holds one entry per CPU throughout.  The entry
+    a CPU arms is never the next one due: the other CPUs' entries at the
+    same time were pushed first.  The event count is fixed by the model;
+    a change to it is a behaviour change, not a speed change (GUIDE
+    §16, "What a quantum costs").
+    """
+    CPUS = 16
+    BURSTS = 16
+    LOW_WORK = 0.1
+    EVENTS = 25_872
+
+    def run():
+        env = Environment()
+        cfg = TransputerConfig()
+        cpus = [Cpu(env, cfg, node_id=i) for i in range(CPUS)]
+        for cpu in cpus:
+            for tag in range(BURSTS):
+                cpu.execute(LOW_WORK, LOW, tag=tag)
+        start = time.perf_counter()
+        env.run()
+        return env, cpus, time.perf_counter() - start
+
+    env, cpus, seconds = benchmark(run)
+    assert env.events_processed == EVENTS
+    for cpu in cpus:
+        assert cpu.stats.completed == BURSTS
+        assert cpu.stats.preemptions == 0
+    print(f"\ncpu_lockstep: {EVENTS / seconds:,.0f} events/s, "
+          f"{sum(c.stats.dispatches for c in cpus)} dispatches, "
+          f"{env.handoffs} handoffs")
+
+
 def test_observed_transport(benchmark):
     """Store-and-forward transport with telemetry and the ledger on.
 

@@ -22,7 +22,7 @@ from repro.core.metrics import BatchResult, SystemSnapshot
 from repro.core.partition import Partition, equal_partition_node_sets
 from repro.core.partition_scheduler import PartitionScheduler
 from repro.core.super_scheduler import SuperScheduler
-from repro.sim import Environment
+from repro.sim import Environment, SimulationError
 from repro.transputer import TransputerConfig, TransputerNode
 from repro.transputer.node import DEFAULT_MAILBOX_BYTES
 
@@ -259,7 +259,11 @@ class MulticomputerSystem:
             sched.submit_batch(roots)
         else:
             sched.submit_batch(jobs)
-        self.env.run(until=sched.all_done)
+        try:
+            self.env.run(until=sched.all_done)
+        except SimulationError as exc:
+            self._raise_if_stuck(exc, jobs)
+            raise
         snapshot = self.snapshot()
         return BatchResult(jobs, snapshot, label=label or self.describe())
 
@@ -393,7 +397,11 @@ class MulticomputerSystem:
             sched.finish_arrivals(fed)
 
         self.env.process(feeder(self.env), name="arrivals")
-        self.env.run(until=sched.all_done)
+        try:
+            self.env.run(until=sched.all_done)
+        except SimulationError as exc:
+            self._raise_if_stuck(exc, jobs)
+            raise
         if sink is not None:
             sink.finish(self.env.now)
         if collect_jobs:
@@ -403,6 +411,43 @@ class MulticomputerSystem:
 
         return OpenRunResult(sink, self.snapshot(),
                              label=label or f"open:{self.describe()}")
+
+    def _raise_if_stuck(self, exc, jobs):
+        """Re-raise ``exc`` as a report when the run is stuck.
+
+        A run whose agenda empties before every job completes is stuck
+        (a memory or message deadlock): the new ``SimulationError``
+        names the incomplete jobs (from ``jobs``, empty when they are
+        not collected), every memory region and transit-buffer pool with
+        queued requests, and every network with undelivered messages.
+        Any other ``SimulationError`` is left to the caller.
+        """
+        if self.env.peek() < math.inf:
+            return
+        sched = self.super_scheduler
+        lines = [f"simulation ran out of events at t = {self.env.now!r} "
+                 f"with {sched._submitted - sched._completed} of "
+                 f"{sched._submitted} submitted jobs incomplete"]
+        stuck = [job.name for job in jobs if job.completed_at is None]
+        if stuck:
+            lines.append("incomplete jobs: " + ", ".join(stuck))
+        for i, node in self.nodes.items():
+            for mmu in (node.memory, node.mailbox_memory):
+                backlog = mmu.backlog()
+                if backlog is not None:
+                    lines.append(backlog)
+            if node.buffers.queue_length:
+                lines.append(f"node {i!r} transit buffers: "
+                             f"{node.buffers.queue_length} queued requests")
+        for part in self.partitions:
+            stats = part.network.stats
+            undelivered = stats.messages_sent - stats.messages_delivered
+            if undelivered:
+                lines.append(
+                    f"network of partition {part.partition_id} (nodes "
+                    f"{list(part.node_ids)}): {undelivered} of "
+                    f"{stats.messages_sent} messages undelivered")
+        raise SimulationError("\n  ".join(lines)) from exc
 
     @staticmethod
     def _unpack(spec):

@@ -44,7 +44,7 @@ import math
 
 from repro.obs.metrics import Histogram
 from repro.obs.schemas import check_schema
-from repro.trace.recorder import TraceRecorder, detail_keys
+from repro.trace.recorder import TraceRecorder, detail_fields, detail_keys
 
 #: Decisions-stream schema identifier; bump on incompatible changes.
 SCHEMA = "repro-decisions/1"
@@ -54,6 +54,10 @@ CATEGORY = "sched.decision"
 
 #: Ring capacity when the ledger owns its recorder (telemetry off).
 DEFAULT_CAPACITY = 200_000
+
+#: The detail fields the queued decomposition reads, by position.
+_DECISION_FIELDS = ("layer", "kind", "reason")
+_JOB_FIELD = ("job",)
 
 
 class DecisionLedger:
@@ -208,17 +212,17 @@ def queued_decomposition(events):
     marks = {}
     names = {}
     for e in events:
-        cat = e.category
+        cat = e[1]
         if cat == CATEGORY:
-            d = e.detail
-            if d.get("layer") == "super" and d.get("kind") == "defer":
-                defer_times.append((e.time, d.get("reason", "?")))
+            layer, kind, reason = detail_fields(e, _DECISION_FIELDS)
+            if layer == "super" and kind == "defer":
+                defer_times.append((e[0], reason))
         elif cat in ("job.submitted", "job.dispatched"):
-            jid = e.detail.get("job")
+            (jid,) = detail_fields(e, _JOB_FIELD)
             if jid is None:
                 continue
-            marks.setdefault(jid, {}).setdefault(cat, e.time)
-            names[jid] = e.subject
+            marks.setdefault(jid, {}).setdefault(cat, e[0])
+            names[jid] = e[2]
     defer_times.sort(key=lambda tr: tr[0])
 
     out = {}
@@ -392,10 +396,8 @@ class DecisionsLog:
 
     def decision(self, event):
         """Write one ring record (a ``sched.decision`` trace event)."""
-        d = event.detail
-        record = {"ev": "decision", "t": event.time,
-                  "subject": event.subject}
-        record.update(d)
+        record = {"ev": "decision", "t": event[0], "subject": event[2]}
+        record.update(zip(event[3], event[4:]))  # the detail, by position
         self._emit(record)
 
     def finish(self, summary):

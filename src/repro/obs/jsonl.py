@@ -19,9 +19,10 @@ import json
 def jsonl_records(telemetry):
     """Yield the export records (dicts) in timestamp order per section."""
     for e in telemetry.recorder:
-        rec = {"type": "event", "ts": e.time, "cat": e.category,
-               "subject": e.subject}
-        for k, v in e.detail.items():
+        # A record is a flat tuple (time, category, subject, keys,
+        # *values): its detail fields are read by position.
+        rec = {"type": "event", "ts": e[0], "cat": e[1], "subject": e[2]}
+        for k, v in zip(e[3], e[4:]):
             rec.setdefault(k, v)
         yield rec
     for name, gauge in sorted(telemetry.metrics.gauges().items()):

@@ -23,6 +23,7 @@ import json
 import re
 
 from repro.obs.spans import job_spans, process_spans
+from repro.trace.recorder import detail_fields
 
 #: Causal-profiler input categories (see :mod:`repro.obs.profile`).
 #: Dense interval streams — omitted from the default export to keep
@@ -31,6 +32,13 @@ from repro.obs.spans import job_spans, process_spans
 _PROFILE_CATEGORIES = frozenset(
     {"cpu.wait", "net.msg", "mem.wait", "buf.wait"}
 )
+
+#: The detail fields each exported category reads, by position (the
+#: fields its recording sites always write).
+_SLICE_FIELDS = ("node", "dur", "prio", "tag")
+_PREEMPT_FIELDS = ("node", "tag")
+_TRANSFER_FIELDS = ("node", "dur", "dst", "nbytes", "wait")
+_DECISION_FIELDS = ("layer", "kind", "reason")
 
 #: Process id of the synthetic "scheduler" process (job spans, global
 #: counters, uncategorised instants).
@@ -121,66 +129,66 @@ def to_perfetto(telemetry, process_tracks=False):
 
     recorded = list(telemetry.recorder)
     for e in recorded:
-        if e.category == "cpu.slice":
-            d = e.detail
-            pid = node_process(d["node"])
+        # Each record's detail fields are read by position; no detail
+        # dict is built (a record is a flat tuple, see TraceEvent).
+        category = e[1]
+        if category == "cpu.slice":
+            node, dur, prio, tag = detail_fields(e, _SLICE_FIELDS)
+            pid = node_process(node)
             tid = tids.tid(pid, "cpu", fixed=CPU_TID)
-            name = str(d.get("tag", "work"))
+            name = str(tag)
             events.append({
-                "ph": "X", "name": f"{d.get('prio', '?')}:{name}",
-                "cat": e.category, "pid": pid, "tid": tid,
-                "ts": _us(e.time), "dur": _us(d["dur"]),
+                "ph": "X", "name": f"{prio}:{name}",
+                "cat": category, "pid": pid, "tid": tid,
+                "ts": _us(e[0]), "dur": _us(dur),
                 "args": {"tag": name},
             })
-        elif e.category == "cpu.preempt":
-            d = e.detail
-            pid = node_process(d["node"])
+        elif category == "cpu.preempt":
+            node, tag = detail_fields(e, _PREEMPT_FIELDS)
+            pid = node_process(node)
             events.append({
-                "ph": "i", "name": "preempt", "cat": e.category,
+                "ph": "i", "name": "preempt", "cat": category,
                 "pid": pid, "tid": tids.tid(pid, "cpu", fixed=CPU_TID),
-                "ts": _us(e.time), "s": "t",
-                "args": {"tag": str(d.get("tag", ""))},
+                "ts": _us(e[0]), "s": "t",
+                "args": {"tag": str(tag)},
             })
-        elif e.category == "link.transfer":
-            d = e.detail
-            pid = node_process(d["node"])
-            tid = tids.tid(pid, f"link->{d['dst']}")
+        elif category == "link.transfer":
+            node, dur, dst, nbytes, wait = detail_fields(e, _TRANSFER_FIELDS)
+            pid = node_process(node)
+            tid = tids.tid(pid, f"link->{dst}")
             events.append({
-                "ph": "X", "name": f"xfer {d['nbytes']}B",
-                "cat": e.category, "pid": pid, "tid": tid,
-                "ts": _us(e.time), "dur": _us(d["dur"]),
-                "args": {"nbytes": d["nbytes"],
-                         "wait": d.get("wait", 0.0)},
+                "ph": "X", "name": f"xfer {nbytes}B",
+                "cat": category, "pid": pid, "tid": tid,
+                "ts": _us(e[0]), "dur": _us(dur),
+                "args": {"nbytes": nbytes, "wait": wait},
             })
-        elif e.category == "sched.decision":
+        elif category == "sched.decision":
             # Decision-ledger records: instants on per-scheduler tracks
             # (one thread per partition scheduler, one for the super
             # scheduler), so placement/deferral/launch choices line up
             # against the hardware tracks they caused work on.
-            d = e.detail
-            layer = d.get("layer", "?")
+            layer, kind, reason = detail_fields(e, _DECISION_FIELDS)
             if layer == "partition":
-                tid = tids.tid(SCHEDULER_PID, f"decisions:{e.subject}")
+                tid = tids.tid(SCHEDULER_PID, f"decisions:{e[2]}")
             else:
                 tid = tids.tid(SCHEDULER_PID, "decisions:super")
             events.append({
-                "ph": "i", "name": f"{d.get('kind', '?')}:"
-                                   f"{d.get('reason', '?')}",
-                "cat": e.category, "pid": SCHEDULER_PID, "tid": tid,
-                "ts": _us(e.time), "s": "t",
-                "args": {k: str(v) for k, v in d.items()},
+                "ph": "i", "name": f"{kind}:{reason}",
+                "cat": category, "pid": SCHEDULER_PID, "tid": tid,
+                "ts": _us(e[0]), "s": "t",
+                "args": {k: str(v) for k, v in zip(e[3], e[4:])},
             })
-        elif e.category.startswith("job."):
+        elif category.startswith("job."):
             continue  # handled below via span derivation
-        elif e.category in _PROFILE_CATEGORIES:
+        elif category in _PROFILE_CATEGORIES:
             continue  # profiler inputs; see process_tracks
         else:
             tid = tids.tid(SCHEDULER_PID, "events")
             events.append({
-                "ph": "i", "name": e.category, "cat": e.category,
-                "pid": SCHEDULER_PID, "tid": tid, "ts": _us(e.time),
+                "ph": "i", "name": category, "cat": category,
+                "pid": SCHEDULER_PID, "tid": tid, "ts": _us(e[0]),
                 "s": "t",
-                "args": {k: str(v) for k, v in e.detail.items()},
+                "args": {k: str(v) for k, v in zip(e[3], e[4:])},
             })
 
     for span in job_spans(recorded):

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heappushpop
 from itertools import count
 from math import inf
 from sys import getrefcount
@@ -10,20 +10,15 @@ from types import MethodType
 
 from repro.sim.events import (
     NORMAL,
-    NORMAL_KEY,
     PENDING,
-    PRIORITY_SHIFT,
     URGENT,
+    URGENT_KEY,
     AllOf,
     Event,
     Process,
     Timeout,
 )
 from repro.sim.exceptions import EmptySchedule, SimulationError
-
-#: Decodes the sequence number from a packed agenda key (see
-#: :data:`~repro.sim.events.PRIORITY_SHIFT`).
-_SEQ_MASK = (1 << PRIORITY_SHIFT) - 1
 
 #: Maximum nesting depth of direct handoffs (see
 #: :meth:`Environment.handoff`).  Each handoff dispatches its waiters on
@@ -59,14 +54,18 @@ class Environment:
 
     The environment maintains the simulated clock (:attr:`now`) and an
     agenda ordered by ``(time, priority, sequence)`` — stored as
-    ``(time, packed_key, item)`` heap entries, where the packed key
-    folds priority and sequence into one integer (see
-    :data:`~repro.sim.events.PRIORITY_SHIFT`).  An entry's item is an
+    ``(time, key, item)`` heap entries, where the key is the sequence
+    number, offset by :data:`~repro.sim.events.URGENT_KEY` for an
+    URGENT entry.  An entry's item is an
     :class:`Event`, whose processing runs its callbacks (which
     typically resume waiting processes, which trigger further events,
     and so on), or a bound method, a *continuation entry*, which the
     loop calls once with the entry's key (see :meth:`kick`).  Either
-    kind counts as one processed event.
+    kind counts as one processed event.  One entry may wait in the
+    held slot in front of the heap (``_held``, filled by the CPU
+    model's arms); the agenda is the heap plus that slot, and
+    :meth:`peek`, :meth:`step`, :meth:`run`, :meth:`run_all`,
+    :meth:`handoff` and ``repr`` read both.
 
     Determinism: the monotone sequence number guarantees FIFO processing
     of same-time, same-priority entries, so repeated runs of the same
@@ -86,7 +85,12 @@ class Environment:
             raise ValueError(
                 f"initial_time must be finite, got {initial_time!r}")
         self._now = initial_time
-        self._queue = []  # heap of (time, (priority << 56) | seq, item)
+        self._queue = []  # heap of (time, key, item)
+        #: One entry held in front of the heap, or ``None``: a CPU's arm
+        #: waits here while the slot is free, and the loop pops with
+        #: ``heappushpop(queue, held)``, which returns it without
+        #: touching the heap when it is due first.
+        self._held = None
         self._seq = count()
         #: Number of events processed so far (useful for budget guards
         #: and performance reporting).  Includes direct handoffs — a
@@ -124,7 +128,11 @@ class Environment:
 
     def peek(self):
         """Time of the next scheduled event, or ``inf`` if none."""
-        return self._queue[0][0] if self._queue else float("inf")
+        queue, held = self._queue, self._held
+        at = queue[0][0] if queue else inf
+        if held is not None and held[0] < at:
+            at = held[0]
+        return at
 
     # -- event factories ---------------------------------------------------
     def event(self):
@@ -148,9 +156,7 @@ class Environment:
             event.callbacks = []
             event._value = value
             event._defused = False
-            heappush(self._queue,
-                     (self._now + delay, NORMAL_KEY | next(self._seq),
-                      event))
+            heappush(self._queue, (self._now + delay, next(self._seq), event))
             return event
         return Timeout(self, delay, value)
 
@@ -167,7 +173,8 @@ class Environment:
         """
         if callback.__class__ is not MethodType:
             raise TypeError(f"kick needs a bound method, got {callback!r}")
-        heappush(self._queue, (self._now + 0.0, next(self._seq), callback))
+        heappush(self._queue,
+                 (self._now + 0.0, next(self._seq) + URGENT_KEY, callback))
 
     def process(self, generator, name=None):
         """Start a new :class:`Process` driving ``generator``."""
@@ -195,9 +202,10 @@ class Environment:
             raise ValueError(f"invalid delay {delay}")
         if priority not in (URGENT, NORMAL):
             raise ValueError(f"invalid priority {priority!r}")
-        heappush(self._queue,
-                 (self._now + delay,
-                  (priority << PRIORITY_SHIFT) | next(self._seq), event))
+        key = next(self._seq)
+        if priority == URGENT:
+            key += URGENT_KEY
+        heappush(self._queue, (self._now + delay, key, event))
 
     def handoff(self, event, value=None):
         """Succeed ``event``; run its callbacks now if ordering permits.
@@ -218,8 +226,9 @@ class Environment:
           :attr:`_tail_ok` flag is set — a handoff from a non-final
           callback of a multi-callback event would run the waiters
           before the event's remaining callbacks;
-        - the agenda must be empty or its head strictly in the future —
-          a same-time entry was sequenced earlier and must run first;
+        - the agenda (the heap's head and the held entry) must be empty
+          or strictly in the future — a same-time entry was sequenced
+          earlier and must run first;
         - the nesting depth must be under ``_HANDOFF_LIMIT`` (handoffs
           consume Python stack);
         - none of the callbacks may be :meth:`run`'s stop callback —
@@ -238,10 +247,12 @@ class Environment:
         event._ok = True
         event._value = value
         queue = self._queue
+        held = self._held
         callbacks = event.callbacks
         if (callbacks and self._tail_ok
                 and self._handoff_depth < _HANDOFF_LIMIT
                 and (not queue or queue[0][0] > self._now)
+                and (held is None or held[0] > self._now)
                 and _STOP_CB not in callbacks):
             event.callbacks = None
             self.events_processed += 1
@@ -261,8 +272,7 @@ class Environment:
             finally:
                 self._handoff_depth -= 1
             return event
-        heappush(queue,
-                 (self._now, NORMAL_KEY | next(self._seq), event))
+        heappush(queue, (self._now, next(self._seq), event))
         return event
 
     def _recycle(self, event):
@@ -293,10 +303,15 @@ class Environment:
         EmptySchedule
             If no events remain.
         """
-        try:
-            self._now, key, event = heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no scheduled events") from None
+        held = self._held
+        if held is not None:
+            self._held = None
+            self._now, key, event = heappushpop(self._queue, held)
+        else:
+            try:
+                self._now, key, event = heappop(self._queue)
+            except IndexError:
+                raise EmptySchedule("no scheduled events") from None
 
         # Count the event *before* dispatch: the pop already happened,
         # so a raising callback (or the unhandled-failure re-raise
@@ -338,7 +353,10 @@ class Environment:
 
         The loop is :meth:`step` inlined, with every per-event attribute
         load hoisted into a local: the heap, ``heappop``, the free list
-        and the class probes.  The item's class is loaded once: a bound
+        and the class probes.  A held entry pops with
+        ``heappushpop(heap, held)``: the held entry itself, without
+        touching the heap, when it is due first, and otherwise the
+        heap's head, with the held entry sifted into its place.  The item's class is loaded once: a bound
         method is a continuation entry, called with its key and done;
         anything else is an event.  The events-processed counter is
         accumulated locally and flushed in the ``finally`` (exactly once
@@ -357,14 +375,14 @@ class Environment:
                 until._ok = True
                 until._value = None
                 # URGENT so the deadline fires before same-time NORMAL
-                # model events (URGENT == 0, so the packed key is the
-                # bare sequence number).  The sequence number comes from
+                # model events.  The sequence number comes from
                 # the same monotone counter as every other agenda entry:
                 # a hard-coded sentinel (e.g. -1) could tie with another
                 # same-time deadline and fall through to comparing the
                 # Event objects themselves, breaking the class's
                 # determinism guarantee.
-                heappush(self._queue, (at, next(self._seq), until))
+                heappush(self._queue,
+                         (at, next(self._seq) + URGENT_KEY, until))
             elif until.callbacks is None:
                 # Already processed.
                 if until._ok:
@@ -374,6 +392,7 @@ class Environment:
 
         queue = self._queue
         pop = heappop
+        pushpop = heappushpop
         refs = getrefcount
         free_timeouts = self._free_timeouts
         timeout_cls = Timeout
@@ -381,10 +400,15 @@ class Environment:
         n = 0
         try:
             while True:
-                try:
-                    self._now, key, event = pop(queue)
-                except IndexError:
-                    raise EmptySchedule("no scheduled events") from None
+                held = self._held
+                if held is not None:
+                    self._held = None
+                    self._now, key, event = pushpop(queue, held)
+                else:
+                    try:
+                        self._now, key, event = pop(queue)
+                    except IndexError:
+                        raise EmptySchedule("no scheduled events") from None
                 n += 1
                 cls = event.__class__
                 if cls is method_cls:
@@ -431,7 +455,7 @@ class Environment:
         """
         start = self.events_processed
         step = self.step
-        while self._queue:
+        while self._queue or self._held is not None:
             if (max_events is not None
                     and self.events_processed - start >= max_events):
                 raise SimulationError(f"exceeded {max_events} events")
@@ -439,4 +463,5 @@ class Environment:
         return self.events_processed - start
 
     def __repr__(self):
-        return f"<Environment now={self._now} queued={len(self._queue)}>"
+        queued = len(self._queue) + (self._held is not None)
+        return f"<Environment now={self._now} queued={queued}>"

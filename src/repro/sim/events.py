@@ -26,21 +26,18 @@ URGENT = 0
 #: Default scheduling priority.
 NORMAL = 1
 
-#: Agenda entries are ``(time, key, item)`` heap tuples whose integer
-#: key packs ``(priority << PRIORITY_SHIFT) | seq``.  The item is an
-#: :class:`Event`, or a bound method (a *continuation entry*, see
-#: :meth:`Environment.kick`) that the loop calls once with the key.
-#: With priorities limited to URGENT (0) and NORMAL (1) and the
-#: monotone sequence far below 2**56 for any feasible run, integer
-#: comparison of the packed key is exactly the lexicographic comparison
-#: of a ``(priority, seq)`` tuple tail — same total order, one less
-#: tuple slot per entry and one comparison instead of up to two during
-#: heap sifts.  Keys are unique, so a comparison never reaches the item.
-PRIORITY_SHIFT = 56
-#: A NORMAL entry's key is ``NORMAL_KEY | seq``; an URGENT entry's key
-#: is the bare sequence number.  Hot triggers push their entry with
-#: these directly; :meth:`Environment.schedule` builds the same entry.
-NORMAL_KEY = NORMAL << PRIORITY_SHIFT
+#: Agenda entries are ``(time, key, item)`` tuples, on the heap or in
+#: the environment's one held slot.  The item is an :class:`Event`, or
+#: a bound method (a *continuation entry*, see
+#: :meth:`Environment.kick`) that the loop calls once with the key.  A
+#: NORMAL entry's key is its bare sequence number; an URGENT entry's is
+#: ``seq + URGENT_KEY``, negative for any feasible run (the sequence
+#: stays far below 2**62).  Integer comparison of the keys is therefore
+#: the lexicographic comparison of a ``(priority, seq)`` tuple tail: the
+#: same total order, with nothing to pack on the commonest, NORMAL,
+#: push.  Keys are unique, so a comparison never reaches the item.  A
+#: key's sequence number is ``key - URGENT_KEY if key < 0 else key``.
+URGENT_KEY = -(1 << 62)
 
 #: Sentinel for "event has not been triggered yet".
 PENDING = object()
@@ -115,8 +112,7 @@ class Event:
         self._ok = True
         self._value = value
         env = self.env
-        heappush(env._queue, (env._now + 0.0, NORMAL_KEY | next(env._seq),
-                              self))
+        heappush(env._queue, (env._now + 0.0, next(env._seq), self))
         return self
 
     def fail(self, exception):
@@ -128,8 +124,7 @@ class Event:
         self._ok = False
         self._value = exception
         env = self.env
-        heappush(env._queue, (env._now + 0.0, NORMAL_KEY | next(env._seq),
-                              self))
+        heappush(env._queue, (env._now + 0.0, next(env._seq), self))
         return self
 
     def trigger(self, event):
@@ -167,8 +162,7 @@ class Timeout(Event):
         self.delay = delay
         self._ok = True
         self._value = value
-        heappush(env._queue, (env._now + delay, NORMAL_KEY | next(env._seq),
-                              self))
+        heappush(env._queue, (env._now + delay, next(env._seq), self))
 
     def __repr__(self):
         return f"<Timeout({self.delay}) at {id(self):#x}>"

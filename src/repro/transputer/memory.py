@@ -117,6 +117,20 @@ class Mmu:
     def queue_length(self):
         return len(self._waiters)
 
+    def backlog(self):
+        """The queued requests, in words, or ``None`` if none wait.
+
+        For the report of a run that stopped short (see
+        ``MulticomputerSystem``): the count, the head request's size and
+        the free bytes it waits for.
+        """
+        if not self._waiters:
+            return None
+        head = self._waiters[0][0]
+        return (f"node {self.node_id!r} {self.region} region: "
+                f"{len(self._waiters)} queued requests, head {head.nbytes}B, "
+                f"{self.available}B of {self.capacity}B free")
+
     def alloc(self, nbytes, owner=None):
         """Request ``nbytes``; the event succeeds with an :class:`Allocation`.
 
@@ -133,8 +147,9 @@ class Mmu:
         if nbytes > capacity:
             req.fail(
                 MemoryError_(
-                    f"request of {nbytes}B exceeds node memory "
-                    f"({capacity}B) on node {self.node_id!r}"
+                    f"request of {nbytes}B exceeds node memory: the "
+                    f"{self.region} region holds {capacity}B on node "
+                    f"{self.node_id!r}"
                 )
             )
             return req

@@ -1,15 +1,15 @@
 """Regression coverage for the kernel fast path.
 
-The hot-path speed pass (packed agenda keys, pooled Timeout events,
+The hot-path speed pass (sign-split agenda keys, pooled Timeout events,
 callback-based packet walkers, agenda entries pushed without a call to
-``Environment.schedule``, and continuation entries: kicks and the CPU's
-arms push a bound method in an event's place) must be *observably
-free*: every test here pins behaviour that the optimisations could
-plausibly have changed — agenda ordering and entry contents,
-event-object lifecycle, abandoned CPU slices.  Whole-model runs are
-pinned by the golden digests
-(``tests/test_results_golden.py`` and the CPU, obs and transport
-goldens).
+``Environment.schedule``, continuation entries: kicks and the CPU's
+arms push a bound method in an event's place, and the held entry a
+CPU's arm waits in ahead of the heap) must be *observably free*: every
+test here pins behaviour that the optimisations could plausibly have
+changed — agenda ordering and entry contents, event-object lifecycle,
+abandoned CPU slices.  Whole-model runs are pinned by the golden
+digests (``tests/test_results_golden.py`` and the CPU, obs and
+transport goldens).
 """
 
 import dataclasses
@@ -21,17 +21,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Environment, Event, SimulationError, Timeout
-from repro.sim.environment import _SEQ_MASK
-from repro.sim.events import NORMAL, URGENT
+from repro.sim.events import NORMAL, URGENT, URGENT_KEY
 from repro.transputer import TransputerConfig
 from repro.transputer.cpu import HIGH, LOW, Cpu
 
 
-# -- agenda ordering under the packed key --------------------------------
+# -- agenda ordering under the sign-split key -----------------------------
 def test_same_time_same_priority_events_fire_in_schedule_order():
-    """FIFO among equals: the packed (priority << 56) | seq key must
-    preserve schedule order for same-time, same-priority events exactly
-    as the old (time, priority, seq) tuple did."""
+    """FIFO among equals: the key (the sequence number, offset by
+    ``URGENT_KEY`` for an URGENT entry) must preserve schedule order for
+    same-time, same-priority events exactly as a (time, priority, seq)
+    tuple does."""
     env = Environment()
     fired = []
     for i in range(50):
@@ -66,6 +66,161 @@ def test_mixed_delays_and_priorities_interleave_deterministically():
     env.run_all()
     # Sorted by time, then schedule order within each time.
     assert fired == [1, 3, 2, 5, 0, 4]
+
+
+# Every way of putting an entry on the agenda, drawn at random, checked
+# against a reference agenda that orders entries by time, URGENT before
+# NORMAL, then push order.  The CPUs carry identical one-quantum bursts,
+# so their switch and slice ends tie with each other and with the
+# entries pushed at those times.  Nothing here reads a key.
+_OV = TransputerConfig().context_switch_overhead
+_Q = TransputerConfig().quantum
+_DELAYS = (0.0, _OV, _Q, _OV + _Q)
+_ORDER_CPUS = 3
+_DEADLINE = ("deadline", None)
+_ORDER_OPS = st.one_of(
+    st.tuples(st.sampled_from(["kick", "succeed"])),
+    st.tuples(st.sampled_from(["urgent", "normal", "timeout", "until"]),
+              st.sampled_from(_DELAYS)),
+    st.tuples(st.just("execute"), st.integers(0, _ORDER_CPUS - 1)),
+)
+
+
+class _Logger:
+    """A kick's owner: its continuation logs the pop time and a label."""
+
+    def __init__(self, env, log, label):
+        self.env = env
+        self.log = log
+        self.label = label
+
+    def cont(self, _key):
+        self.log.append((self.env.now, self.label))
+
+
+class _LoggedCpu(Cpu):
+    """A Cpu that logs the pops of its agenda continuations.  The loop
+    calls a continuation with its entry's key; the CPU's inline calls
+    pass none."""
+
+    def __init__(self, env, config, log, index):
+        self.log = log
+        self.index = index
+        super().__init__(env, config, node_id=index)
+
+    def _dispatch_next(self, _key=None):
+        if _key is not None:
+            self.log.append((self.env.now, ("cpu", self.index)))
+        super()._dispatch_next(_key)
+
+    def _cb_overhead(self, _key=None):
+        if _key is not None:
+            self.log.append((self.env.now, ("switch", self.index)))
+        super()._cb_overhead(_key)
+
+    def _cb_low_end(self, key, preempted=False):
+        if key is not None:
+            self.log.append((self.env.now, ("slice", self.index)))
+        super()._cb_low_end(key, preempted)
+
+
+class _ReferenceAgenda:
+    """Entries ordered by ``(time, priority, push order)``, and the
+    CPUs' dispatch steps for one-quantum LOW bursts."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.entries = []
+        self.pushes = 0
+        self.popped = []
+        self.state = ["boot"] * _ORDER_CPUS
+        self.ready = [deque() for _ in range(_ORDER_CPUS)]
+        self.running = [None] * _ORDER_CPUS
+        for c in range(_ORDER_CPUS):
+            self.push(0.0, URGENT, ("cpu", c))  # the boot kick
+
+    def push(self, time, priority, label):
+        self.entries.append((time, priority, self.pushes, label))
+        self.pushes += 1
+
+    def pop(self):
+        entry = min(self.entries)
+        self.entries.remove(entry)
+        self.now, _, _, label = entry
+        self.popped.append((self.now, label))
+        kind, c = label[:2]  # the CPU's index for a CPU's entry
+        if kind == "slice":
+            done = self.running[c]
+            self._dispatch(c)
+            self.push(self.now, NORMAL, done)  # the completion
+        elif kind == "switch":
+            self.state[c] = "slice"
+            self.push(self.now + _Q, NORMAL, ("slice", c))
+        elif kind == "cpu":
+            self._dispatch(c)
+        return label
+
+    def _dispatch(self, c):
+        if self.ready[c]:
+            self.running[c] = self.ready[c].popleft()
+            self.state[c] = "switch"
+            self.push(self.now + _OV, NORMAL, ("switch", c))
+        else:
+            self.state[c] = "idle"
+
+
+@given(ops=st.lists(_ORDER_OPS, max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_property_equal_time_entries_pop_urgent_first_in_push_order(ops):
+    env = Environment()
+    log = []
+    ref = _ReferenceAgenda()
+    cpus = [_LoggedCpu(env, TransputerConfig(), log, c)
+            for c in range(_ORDER_CPUS)]
+
+    def logged(event, label):
+        event.callbacks.append(lambda e: log.append((env.now, label)))
+
+    for i, op in enumerate(ops):
+        kind, label = op[0], ("entry", i)
+        if kind == "kick":
+            env.kick(_Logger(env, log, label).cont)
+            ref.push(env.now, URGENT, label)
+        elif kind == "succeed":
+            logged(env.event().succeed(), label)
+            ref.push(env.now, NORMAL, label)
+        elif kind in ("urgent", "normal"):
+            event = env.event()
+            event._ok, event._value = True, None
+            logged(event, label)
+            priority = URGENT if kind == "urgent" else NORMAL
+            env.schedule(event, priority=priority, delay=op[1])
+            ref.push(env.now + op[1], priority, label)
+        elif kind == "timeout":
+            logged(env.timeout(op[1]), label)
+            ref.push(env.now + op[1], NORMAL, label)
+        elif kind == "until":
+            at = env.now + op[1]
+            env.run(until=at)
+            log.append((env.now, _DEADLINE))
+            ref.push(at, URGENT, _DEADLINE)
+            while ref.pop() != _DEADLINE:
+                pass
+        else:
+            # One quantum of LOW work, submitted outside a slice so that
+            # no arrival preempts one.
+            c = op[1]
+            if ref.state[c] == "slice":
+                continue
+            logged(cpus[c].execute(_Q, LOW), ("done", c, i))
+            ref.ready[c].append(("done", c, i))
+            if ref.state[c] == "idle":  # the wakeup arm
+                ref.state[c] = "woken"
+                ref.push(env.now, NORMAL, ("cpu", c))
+    env.run()
+    while ref.entries:
+        ref.pop()
+    assert log == ref.popped
 
 
 # -- pooled event lifecycle ----------------------------------------------
@@ -180,13 +335,26 @@ def test_schedule_rejects_bad_delay_and_priority(kwargs, match):
 # -- agenda entries pushed without a call --------------------------------
 # Every hot trigger pushes its own agenda entry.  The contract: the entry
 # is exactly the one ``Environment.schedule`` builds, i.e.
-# ``(now + delay, (priority << 56) | seq, event)``, drawing one sequence
-# number at the point of the trigger.  A kick or a CPU arm pushes the
+# ``(now + delay, key, event)`` with ``key = seq`` for NORMAL and
+# ``seq + URGENT_KEY`` for URGENT, drawing one sequence number at the
+# point of the trigger.  A kick or a CPU arm pushes the
 # same time and key with its continuation, a bound method, in the
-# event's place.
+# event's place; a CPU arm goes to the held slot when it is free, so
+# the helpers look at the heap and the slot together.
 def _reference_entry(env, item, priority, delay, seq):
     """The entry ``schedule(item, priority, delay)`` builds."""
-    return (env._now + delay, (priority << 56) | seq, item)
+    key = seq + URGENT_KEY if priority == URGENT else seq
+    return (env._now + delay, key, item)
+
+
+def _seq(key):
+    """The sequence number of an agenda entry's key."""
+    return key - URGENT_KEY if key < 0 else key
+
+
+def _agenda(env):
+    """Every agenda entry: the heap's, then the held one if any."""
+    return env._queue + ([] if env._held is None else [env._held])
 
 
 class _Sink:
@@ -204,9 +372,9 @@ def _armed(env, trigger):
     pushed and the sequence number that entry must carry, checking that
     exactly one sequence number was drawn."""
     seq = next(env._seq) + 1
-    keys = {key for _, key, _ in env._queue}
+    keys = {key for _, key, _ in _agenda(env)}
     result = trigger()
-    (entry,) = [e for e in env._queue if e[1] not in keys]
+    (entry,) = [e for e in _agenda(env) if e[1] not in keys]
     assert next(env._seq) == seq + 1
     assert type(entry[0]) is float
     return result, entry, seq
@@ -254,7 +422,7 @@ def test_kick_pushes_the_schedule_entry_with_the_continuation():
     assert entry[2] is callback
     # The loop calls the continuation once, with the entry's key.
     env.run_all()
-    assert sink.keys == [seq]
+    assert sink.keys == [entry[1]]
     assert env.events_processed == 2  # the clock's deadline and the kick
 
 
@@ -331,9 +499,37 @@ def test_cpu_wakeup_switch_and_slice_arms_push_the_schedule_entry():
     cpu.execute(burst, HIGH)
     env.step()  # the wakeup
     env.step()  # the switch
-    (entry,) = env._queue
+    (entry,) = _agenda(env)
     assert entry[1] == cpu._armed
     assert entry == (env._now + burst, entry[1], cpu._high_end)
+
+
+def test_cpu_arm_takes_the_free_held_slot_and_every_reader_sees_it():
+    """A CPU's arm waits in the held slot while it is free; ``peek``,
+    ``repr``, ``handoff``'s guard, ``step`` and ``run_all`` read it."""
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    env.run_all()  # boot: idle
+    cpu.execute(0.005, LOW)  # the wakeup arm takes the free slot
+    assert env._queue == [] and env._held[2] is cpu._wakeup
+    assert env.peek() == env.now
+    assert repr(env) == f"<Environment now={env.now} queued=1>"
+    # The held wakeup is due now and was sequenced first: a handoff
+    # must not run its waiter ahead of it.
+    fired = []
+    waited = env.event()
+    waited.callbacks.append(lambda e: fired.append(env.now))
+    env.handoff(waited)
+    assert fired == [] and [e[2] for e in env._queue] == [waited]
+    env.step()  # the wakeup; the switch arm takes the freed slot
+    assert fired == [] and env._held[2] is cpu._switch_end
+    env.step()  # the waiter, from the heap; the held entry moves there
+    assert fired == [env.now] and env._held is None
+    assert [e[2] for e in env._queue] == [cpu._switch_end]
+    # The switch end, the slice end and the completion, which has no
+    # waiter and so takes the agenda.
+    assert env.run_all() == 3
+    assert env._queue == [] and env._held is None
 
 
 def _cpu_state(cpu):
@@ -360,23 +556,23 @@ def test_preempted_slice_entry_pops_as_one_counted_no_op():
     low = cpu.execute(0.01, LOW)
     env.step()  # the wakeup
     env.step()  # the switch: the sole request runs one extended slice
-    (abandoned,) = env._queue
+    (abandoned,) = _agenda(env)
     assert abandoned[2] is cpu._low_end
     assert abandoned[1] == cpu._armed
     cpu.execute(1e-4, HIGH)
     env.step()  # the kicked interrupt: the slice is credited
     assert cpu.stats.preemptions == 1
     assert cpu._armed is None
-    while env._queue[0] is not abandoned:
+    while min(_agenda(env)) is not abandoned:
         env.step()
     state = _cpu_state(cpu)
-    rest = sorted(e for e in env._queue if e is not abandoned)
+    rest = sorted(e for e in _agenda(env) if e is not abandoned)
     processed = env.events_processed
     env.step()
     assert env.events_processed == processed + 1
     assert env.now == abandoned[0]
     assert _cpu_state(cpu) == state
-    assert sorted(env._queue) == rest  # nothing pushed
+    assert sorted(_agenda(env)) == rest  # nothing pushed
     env.run_all()
     assert low.processed and low.cpu_time == pytest.approx(0.01)
     assert cpu.stats.preemptions == 1
@@ -447,10 +643,10 @@ def test_property_interleaved_triggers_push_the_schedule_entries(ops):
 
     def check(action):
         nonlocal next_seq
-        keys = {key for _, key, _ in env._queue}
+        keys = {key for _, key, _ in _agenda(env)}
         action()
-        pushed = sorted((e for e in env._queue if e[1] not in keys),
-                        key=lambda e: e[1] & _SEQ_MASK)
+        pushed = sorted((e for e in _agenda(env) if e[1] not in keys),
+                        key=lambda e: _seq(e[1]))
         for entry in pushed:
             item = entry[2]
             priority, delay = _expected(cpu, item)
@@ -462,7 +658,7 @@ def test_property_interleaved_triggers_push_the_schedule_entries(ops):
     for op in ops:
         if op[0] == "advance":
             until = env._now + op[1]
-            while env._queue and env._queue[0][0] <= until:
+            while env.peek() <= until:
                 check(env.step)
         else:
             check(lambda: _trigger(env, cpu, op))

@@ -4,6 +4,8 @@ The simulator must fail loudly and precisely — a silent hang or a
 swallowed exception in a 10^5-event run is undebuggable.
 """
 
+import re
+
 import pytest
 
 from repro.core import (
@@ -141,6 +143,68 @@ def test_message_larger_than_mailbox_region_fails_loudly():
     system = make_system()
     with pytest.raises(MemoryError_):
         system.run_batch(BatchWorkload([JobSpec(BigTalker(), "big")]))
+
+
+def _deadlocking_batch():
+    """Fixed matmul jobs on a 4-node linear array, time-shared: node 0's
+    job and mailbox regions fill up and the run stops at t = 14.89 s."""
+    from repro.workload import standard_batch
+
+    system = MulticomputerSystem(
+        SystemConfig(num_nodes=4, topology="linear"), TimeSharing())
+    return system, standard_batch("matmul", "fixed", small_size=55,
+                                  large_size=110)
+
+
+_STUCK_NODE_0 = (
+    "node 0 job region: 46 queued requests, head 290400B, "
+    "289216B of 2031616B free\n"
+    "  node 0 mailbox region: 51 queued requests, head 1320B, "
+    "808B of 196608B free\n"
+    "  network of partition 0 (nodes [0, 1, 2, 3]): 51 of 540 messages "
+    "undelivered")
+
+
+def test_deadlocked_batch_says_where_it_is_stuck():
+    """A deadlocked batch used to raise only "simulation ran out of
+    events before `until` fired"; the error now names the incomplete
+    jobs, each region with queued requests and the undelivered
+    messages."""
+    system, batch = _deadlocking_batch()
+    with pytest.raises(SimulationError) as info:
+        system.run_batch(batch)
+    message = str(info.value)
+    assert message.startswith("simulation ran out of events at t = 14.885")
+    assert "with 16 of 16 submitted jobs incomplete\n" in message
+    assert re.search(r"\n  incomplete jobs: (job\d+, ){15}job\d+\n", message)
+    assert message.endswith(_STUCK_NODE_0)
+    assert "ran out of events before `until` fired" in str(
+        info.value.__cause__)
+
+
+@pytest.mark.parametrize("collect_jobs", [True, False])
+def test_deadlocked_open_run_says_where_it_is_stuck(collect_jobs):
+    system, batch = _deadlocking_batch()
+    with pytest.raises(SimulationError) as info:
+        system.run_open([(0.0, spec) for spec in batch],
+                        collect_jobs=collect_jobs)
+    message = str(info.value)
+    assert "with 16 of 16 submitted jobs incomplete\n" in message
+    assert ("incomplete jobs: " in message) == collect_jobs
+    assert message.endswith(_STUCK_NODE_0)
+
+
+def test_oversized_allocation_names_its_memory_region():
+    """The oversize error used to give only the capacity, which for a
+    mailbox allocation is the mailbox region's size, not the node's."""
+    from repro.transputer.memory import Mmu
+
+    env = Environment()
+    request = Mmu(env, 196608, node_id=2, region="mailbox").alloc(196609)
+    request.defuse()
+    assert str(request.value) == (
+        "request of 196609B exceeds node memory: the mailbox region "
+        "holds 196608B on node 2")
 
 
 def test_reuse_of_system_object_resets_state():

@@ -170,13 +170,10 @@ def test_numeric_until_draws_from_the_sequence_counter():
     bypassing the monotone counter the class documents as its
     determinism guarantee (two same-time deadlines would tie and fall
     through to comparing Event objects)."""
-    from repro.sim.environment import _SEQ_MASK
-
     env = Environment()
     env.run(until=3.0)  # the deadline consumes sequence number 0
-    env.timeout(1)
-    _time, key, _event = env._queue[0]
-    assert (key & _SEQ_MASK) >= 1
+    env.timeout(1)  # and the timeout 1
+    assert next(env._seq) == 2
 
 
 def test_numeric_until_preserves_fifo_for_same_time_urgent_events():
