@@ -38,15 +38,15 @@ GOLDEN = {
         'decisions':
             '53ad65599f8cac5bc235bcb70bea3c3738b5097244d64704e61948ca6bb2814a',
         'detached':
-            'cb5801907946590a6c983360f7d1ed1a10ec9d3403e2b73e63f5efc0ca0ca35e',
+            'afac96a61b6fe7814907526f0a786610884ac0f9bb8fe9ffb61212b715d02ec3',
         'jsonl':
-            'b11dbfc65d68f812f6d787ca5a70f4734a4cf87d6da360e741738be529ca2b1c',
+            '706d92ea186aa55078bb5f798c0984f192ded01edd85be53cb44252eb472df7a',
         'ledger':
             '7cb011d1f812e86d493450c7b78624c6ebb5da7a5efe47462584a1576212be89',
         'metrics':
-            'cb5801907946590a6c983360f7d1ed1a10ec9d3403e2b73e63f5efc0ca0ca35e',
+            'afac96a61b6fe7814907526f0a786610884ac0f9bb8fe9ffb61212b715d02ec3',
         'perfetto':
-            'a75942c1e67b379f24a9409b7f02df13a77e000423077b49c222b021bb1363a6',
+            'e87c60276b070ebe32a73efd6b1760e5ee1f7edd7b0e7fb99634c28add73ef6c',
         'queued':
             '66ac049e41530d619e7dd3b64943698345c96ba7bce63f5a1cbf2faabb3cac1f',
         'text':
@@ -58,15 +58,15 @@ GOLDEN = {
         'decisions':
             'e8066f81bc9d7b9b1befa440f95042b08ab4f75ef76da0d2e3ac8f06255a55c3',
         'detached':
-            'f5bb6b04b0a137286bb23160ca9459bd167919191c1fd99e6e621f7e1e809e49',
+            '6b834728b5d4a3bdaa301bfb6ec138e557b631841e273006ff129b91c8fe1935',
         'jsonl':
-            'bc5d9da08ef39735c286730436d65620f48e2cd4cca1edcfeb7074382f6e2dd3',
+            '97cc38614d6bd355fdab5df087712b62be0e7d94abfccd237d46c01fcccf5b1a',
         'ledger':
             '3280f4964f8ae0df5800f877ea1eb8ffda350489bd979ffa8c4ebb401c17ec3d',
         'metrics':
-            'f5bb6b04b0a137286bb23160ca9459bd167919191c1fd99e6e621f7e1e809e49',
+            '6b834728b5d4a3bdaa301bfb6ec138e557b631841e273006ff129b91c8fe1935',
         'perfetto':
-            'd518d2e29a6b666279236cba144f39448213ec35f03cc9b10acbf8edc9389064',
+            'fbf38c5e5eee9ec3c7d40ad542826562e8ee710cc1b2beb15b3b2257680ff33b',
         'queued':
             '66ac049e41530d619e7dd3b64943698345c96ba7bce63f5a1cbf2faabb3cac1f',
         'text':
@@ -78,15 +78,15 @@ GOLDEN = {
         'decisions':
             '0747313c48a5035f72c0c1e9f6a0c1d823314501cb7ae74fcc25cbb32fba5f86',
         'detached':
-            '6a29a5beb7b0c4136204e6d8ebb1f9f9edb0be508c5f648bbe10b282ccb3ca8e',
+            '62f144645959e059f727133225ea2be8cdacee8023e738fbb8ee2b55fa3d4661',
         'jsonl':
-            '658fd3409b1f532d1c41e3d73b41e7169c65ad96e541daaadeae6744b9511d52',
+            'cf03c224482823b612d049fa45d035fec8f7c5d7c2f797509a1e6fe1a134b561',
         'ledger':
             'e704fdbb82e5a02f151de8f7389834ee55992aa120deefcbbf4bad9debf034bb',
         'metrics':
-            '6a29a5beb7b0c4136204e6d8ebb1f9f9edb0be508c5f648bbe10b282ccb3ca8e',
+            '62f144645959e059f727133225ea2be8cdacee8023e738fbb8ee2b55fa3d4661',
         'perfetto':
-            '136a0e528174a3467cbf950cbb4547d5701304802a69281ec4aa1f8f9251bf57',
+            '24f36999d998d9749db248e1e051680cb24b19111f0e27fab79e1e0f5faf5fed',
         'queued':
             '66ac049e41530d619e7dd3b64943698345c96ba7bce63f5a1cbf2faabb3cac1f',
         'text':
@@ -118,15 +118,15 @@ GOLDEN = {
         'decisions':
             '5ef1bde84f12bb1621453b09c89719b103ef1091fad3b4a631b11d583e8560ff',
         'detached':
-            '7ac42e7d006966122c16bfefaa643a1733b5c28a87e14407d3b9754efd340245',
+            '260d92fab93c662f4c5226d2210206c1cb4c1639e5b51233ba089837e82e4edc',
         'jsonl':
-            '0e481564b192014a373a4cf09cdef4b5bbd52855b3821de5fb006c14c4a814eb',
+            'f3984829e7cf9796593ec754c2d94877beb584f5ffb9d1c0a2bd1104dffca157',
         'ledger':
             'f7734c7d65affe29ceffc474202109d2ef309b52fb4d6f8fcb9bc2e3c07bfd8f',
         'metrics':
-            '7ac42e7d006966122c16bfefaa643a1733b5c28a87e14407d3b9754efd340245',
+            '260d92fab93c662f4c5226d2210206c1cb4c1639e5b51233ba089837e82e4edc',
         'perfetto':
-            'b1ba140dae75724a401d5b8ccc5c177a664fad49a598485afc0f15ab1c3c9da4',
+            '0d6a2cff4eeed6c915cb1d0940ade6dc3714245cc3c5e28d6287a8e1080779c2',
         'queued':
             '44136fa355b3678a1146ad16f7e8649e94fb4fc21fe77e8310c060f61caaff8a',
         'text':

@@ -227,6 +227,23 @@ def test_queue_length_reports_backlog():
     assert cpu.queue_length == 0
 
 
+def test_queue_length_counts_the_request_paying_its_context_switch():
+    """Inside the 25 us switch before a slice the request being
+    dispatched is neither queued nor running; it used to go uncounted,
+    so the backlog read 2 with three requests unfinished."""
+    env = Environment()
+    cpu = Cpu(env, TransputerConfig(), node_id=0)
+    cpu.execute(1.0, LOW)
+    cpu.execute(1.0, LOW)
+    cpu.execute(1.0, HIGH)
+    env.run(until=1e-5)  # the HIGH burst is paying its switch
+    assert cpu._cur is not None and cpu.running is None
+    assert cpu.queue_length == 3
+    env.run(until=1e-4)  # the HIGH burst runs
+    assert cpu.running is not None
+    assert cpu.queue_length == 3
+
+
 def test_fairness_two_jobs_rr_job_quanta():
     """RR-job rule: quantum proportional to P/T equalises *job* shares.
 
